@@ -63,10 +63,6 @@ class FeatureFileError(ValueError):
     """Raised for malformed or mismatched feature replay files."""
 
 
-class ProviderError(RuntimeError):
-    """Raised when a feature provider is needed but none is registered."""
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -307,24 +303,6 @@ class NullContextProvider:
         return FeatureSeq.empty(self.width)
 
 
-_MM_PROVIDER: list = [None]
-
-
-def set_mm_provider(provider):
-    """Register the process-wide multimodal feature provider; returns the old one."""
-    previous = _MM_PROVIDER[0]
-    _MM_PROVIDER[0] = provider
-    return previous
-
-
-def provide_mm_features(instruction: str, aux=None, provider=None) -> FeatureSeq:
-    """Fetch multimodal context features from ``provider`` or the registered one."""
-    chosen = provider if provider is not None else _MM_PROVIDER[0]
-    if chosen is None:
-        raise ProviderError("no multimodal feature provider registered")
-    return chosen.provide(instruction, aux)
-
-
 # ---------------------------------------------------------------------------
 # sync (frame) providers
 # ---------------------------------------------------------------------------
@@ -480,11 +458,6 @@ class TranscriptEncoder:
             h = add(matmul(h, blk["project_w"]), blk["project_b"])
             x = add(x, h)
         return FeatureSeq(x, np.ones(len(text), dtype=bool))
-
-
-def encode_transcript(text: str, encoder: TranscriptEncoder) -> FeatureSeq:
-    """Encode ``text`` with ``encoder``; out-of-vocabulary characters map to unknown."""
-    return encoder.encode(text)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +638,7 @@ class Conditioner:
         latent_rate: float = DEFAULT_LATENT_RATE,
     ) -> ConditioningBundle:
         """Build one example's bundle; the frame stream always has ``latent_T`` rows."""
-        mm = provide_mm_features(instruction, aux, provider=self.mm_provider)
+        mm = self.mm_provider.provide(instruction, aux)
         trans = self.encoder.encode(transcript)
         high = build_high_stream(self.mm_adapter.apply(mm), self.trans_adapter.apply(trans))
         sync = provide_sync_features(

@@ -134,10 +134,6 @@ def rf_loss(
     items = []
     for x0, bundle in batch:
         arr = as_latent(x0)
-        if arr.shape[1] != model.config.d_lat:
-            raise ValueError(
-                f"latent width {arr.shape[1]} does not match d_lat {model.config.d_lat}"
-            )
         if bundle.low.frame_count != arr.shape[0]:
             raise ValueError(
                 f"frame stream has {bundle.low.frame_count} frames, "
@@ -281,14 +277,6 @@ class SamplerConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
 
 
-def _guided_velocity(model, x, t, bundle, null, scale) -> np.ndarray:
-    v_cond = model.predict_velocity(x, t, bundle)
-    if null is None:
-        return v_cond
-    v_uncond = model.predict_velocity(x, t, null)
-    return cfg_velocity(v_cond, v_uncond, scale)
-
-
 def sample(
     model,
     bundle: ConditioningBundle,
@@ -297,38 +285,16 @@ def sample(
 ) -> np.ndarray:
     """Integrate the learned field from noise at t = 1 down to t = 0.
 
-    The state is kept in float64 throughout.  With guidance scale 1 each
-    step costs exactly one forward pass; otherwise the conditional and
-    null-bundle predictions are combined.  Deterministic given the seed.
+    A one-item :func:`sample_batch`: the state is kept in float64
+    throughout; with guidance scale 1 each step costs exactly one forward
+    pass, otherwise the conditional and null-bundle predictions are
+    combined.  Deterministic given the seed.  Returns [T, D].
     """
-    cfg = cfg if cfg is not None else SamplerConfig()
-    T, D = int(shape[0]), int(shape[1])
-    if T < 1 or D < 1:
-        raise ValueError(f"invalid latent shape {(T, D)}")
-    if bundle.low.frame_count != T:
-        raise ValueError(
-            f"frame stream has {bundle.low.frame_count} frames, requested {T}"
-        )
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal((T, D))
-    null = None if cfg.guidance_scale == 1.0 else null_bundle(bundle)
-    dt = 1.0 / cfg.steps
-    for k in range(cfg.steps):
-        t = 1.0 - k / cfg.steps
-        if cfg.solver == "euler":
-            v = _guided_velocity(model, x, t, bundle, null, cfg.guidance_scale)
-            x = x - dt * v
-        else:
-            v1 = _guided_velocity(model, x, t, bundle, null, cfg.guidance_scale)
-            xm = x - 0.5 * dt * v1
-            v2 = _guided_velocity(model, xm, t - 0.5 * dt, bundle, null, cfg.guidance_scale)
-            x = x - dt * v2
-    return x
+    return sample_batch(model, [bundle], shape, cfg)[0]
 
 
 def _forward_batch(model, x: np.ndarray, t: float, collated) -> np.ndarray:
-    # x stays float64 like the single-item sampler's state; the network
-    # promotes it against its own parameter dtype.
+    # x stays float64; the network promotes it against its own parameter dtype.
     high, valid, low = collated
     ts = np.full(x.shape[0], t)
     with no_grad():
@@ -352,10 +318,9 @@ def sample_batch(
 ) -> np.ndarray:
     """Integrate one independent latent per bundle, batched per solver step.
 
-    The ODE math matches :func:`sample` item for item; only the noise
-    layout differs (one [B, T, D] draw instead of B separate [T, D]
-    draws), so a batch is deterministic under its seed but its items do
-    not reproduce individual :func:`sample` calls.  Returns [B, T, D].
+    The noise is one [B, T, D] draw from the sampler seed, so a batch is
+    deterministic under its seed and a one-item batch is :func:`sample`.
+    Returns [B, T, D].
     """
     cfg = cfg if cfg is not None else SamplerConfig()
     bundles = list(bundles)

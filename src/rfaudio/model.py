@@ -22,7 +22,6 @@ from .autodiff import (
     layer_norm,
     matmul,
     mul,
-    no_grad,
     reshape,
     scaled_dot_product_attention,
     stack,
@@ -231,10 +230,25 @@ class FlowModel:
         high_valid: np.ndarray | None,
         low: Tensor,
     ) -> Tensor:
-        """Batched core: ``[B, T, d_lat]`` plus conditioning to ``[B, T, d_lat]``."""
-        self.forward_count += 1
+        """Batched core: ``[B, T, d_lat]`` plus conditioning to ``[B, T, d_lat]``.
+
+        Rejects a latent, frame-stream or context width that does not
+        match the config with ``ValueError``.
+        """
         cfg = self.config
-        B, T, _ = x_t.data.shape
+        B, T, d = x_t.data.shape
+        if d != cfg.d_lat:
+            raise ValueError(f"latent width {d} does not match model d_lat {cfg.d_lat}")
+        if low.data.shape[-1] != cfg.d_low:
+            raise ValueError(
+                f"frame stream width {low.data.shape[-1]} does not match d_low {cfg.d_low}"
+            )
+        if high_tokens is not None and high_tokens.data.shape[-1] != cfg.d_high:
+            raise ValueError(
+                f"context width {high_tokens.data.shape[-1]} does not match "
+                f"d_high {cfg.d_high}"
+            )
+        self.forward_count += 1
 
         te = reshape(self.time_embed.embed_batch(t_vec), (B, 1, cfg.d_low))
         tokens = concatenate([x_t, add(low, te)], axis=-1)
@@ -285,12 +299,6 @@ class FlowModel:
         h = layer_norm(x, self.final_g, self.final_b)
         return add(matmul(h, self.out_w), self.out_b)
 
-    def predict_velocity(self, x_t, t: float, bundle: ConditioningBundle) -> np.ndarray:
-        """Tape-free single-example forward, returned as float64."""
-        with no_grad():
-            out = dit_forward(x_t, t, bundle, self)
-        return np.asarray(out.data, dtype=np.float64)
-
 
 def dit_forward(x_t, t: float, bundle: ConditioningBundle, model: FlowModel) -> Tensor:
     """Predicted velocity for one example; shape equals the latent shape.
@@ -302,27 +310,11 @@ def dit_forward(x_t, t: float, bundle: ConditioningBundle, model: FlowModel) -> 
     if x.data.ndim != 2:
         raise ValueError(f"latent must be [T, d_lat], got shape {x.data.shape}")
     T, d = x.data.shape
-    cfg = model.config
-    if d != cfg.d_lat:
-        raise ValueError(f"latent width {d} does not match model d_lat {cfg.d_lat}")
     if bundle.low.frame_count != T:
         raise ValueError(
             f"frame stream has {bundle.low.frame_count} frames, latent has {T}"
         )
-    if bundle.low.width != cfg.d_low:
-        raise ValueError(
-            f"frame stream width {bundle.low.width} does not match d_low {cfg.d_low}"
-        )
-    high_tokens = None
-    high_valid = None
-    if bundle.high.length > 0:
-        if bundle.high.width != cfg.d_high:
-            raise ValueError(
-                f"context width {bundle.high.width} does not match d_high {cfg.d_high}"
-            )
-        high_tokens = reshape(bundle.high.tokens, (1, bundle.high.length, cfg.d_high))
-        high_valid = bundle.high.validity[None]
-    low = Tensor(bundle.low.frames[None])
+    high_tokens, high_valid, low = collate_bundles([bundle], dtype=model.dtype)
     out = model._forward(reshape(x, (1, T, d)), np.array([t]), high_tokens, high_valid, low)
     return reshape(out, (T, d))
 

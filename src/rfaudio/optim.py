@@ -8,6 +8,7 @@ moment, second moment). Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -155,35 +156,40 @@ def save_checkpoint(path, params, step: int) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ParamStore, step)."""
+    """Read a checkpoint; returns (ParamStore, step).
+
+    A file that ends inside any field, or holds bytes after the last
+    record, raises ``ValueError`` naming the path.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    version, step, count = struct.unpack_from("<IQI", blob, 8)
+    off = 8
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(blob):
+            raise ValueError(f"{path}: truncated checkpoint")
+        off += n
+        return blob[off - n : off]
+
+    version, step, count = struct.unpack("<IQI", take(16))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    off = 8 + 16
     store = ParamStore()
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arrays = []
-        for _ in range(3):
-            if off + 4 * size > len(blob):
-                raise ValueError(f"{path}: truncated checkpoint")
-            arrays.append(
-                np.frombuffer(blob[off : off + 4 * size], dtype="<f4").reshape(shape).copy()
-            )
-            off += 4 * size
+        (name_len,) = struct.unpack("<I", take(4))
+        name = take(name_len).decode("utf-8")
+        (ndim,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        nbytes = 4 * math.prod(shape)
+        arrays = [
+            np.frombuffer(take(nbytes), dtype="<f4").reshape(shape).copy() for _ in range(3)
+        ]
         p = store.create(name, arrays[0])
         p.m = arrays[1]
         p.v = arrays[2]
+    if off != len(blob):
+        raise ValueError(f"{path}: {len(blob) - off} trailing bytes after the last record")
     return store, step

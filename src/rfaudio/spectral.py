@@ -275,4 +275,6 @@ def read_mel_dump(path) -> np.ndarray:
     need = 16 + 4 * t * m
     if len(blob) < need:
         raise ValueError(f"{path}: truncated mel dump")
-    return np.frombuffer(blob[16:need], dtype="<f4").reshape(t, m).copy()
+    if len(blob) > need:
+        raise ValueError(f"{path}: {len(blob) - need} trailing bytes after the mel frames")
+    return np.frombuffer(blob[16:], dtype="<f4").reshape(t, m).copy()

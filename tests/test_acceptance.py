@@ -26,6 +26,7 @@ from rfaudio.audio import (
     read_wav,
     time_stretch,
 )
+from rfaudio.autodiff import Tensor
 from rfaudio.cli import (
     EXIT_OK,
     TOY_MODE_SIGMA,
@@ -132,11 +133,14 @@ def workspace(tmp_path_factory):
 class ConstantFieldModel:
     """Field v(x, t) = c; the backwards Euler solution is x1 - c exactly."""
 
+    dtype = np.float32
+
     def __init__(self, v):
         self.v = np.asarray(v, dtype=np.float64)
 
-    def predict_velocity(self, x, t, bundle):
-        return self.v.copy()
+    def _forward(self, x_t, ts, high, valid, low):
+        B = x_t.data.shape[0]
+        return Tensor(np.broadcast_to(self.v, (B,) + self.v.shape).copy())
 
 
 def _empty_bundle(frames: int, d_high: int = 4, d_low: int = 3):

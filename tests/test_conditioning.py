@@ -20,7 +20,6 @@ from rfaudio.conditioning import (
     FrameFeatures,
     NullContextProvider,
     PromptMask,
-    ProviderError,
     ReplayFeatureProvider,
     ReplaySyncProvider,
     ToyTokenProvider,
@@ -28,13 +27,10 @@ from rfaudio.conditioning import (
     build_high_stream,
     build_low_stream,
     condition_dropout,
-    encode_transcript,
     mask_prompt,
     null_bundle,
-    provide_mm_features,
     provide_sync_features,
     read_feature_seq,
-    set_mm_provider,
     transcript_indices,
     write_feature_seq,
 )
@@ -128,6 +124,13 @@ class TestReplayFiles:
         with pytest.raises(FeatureFileError):
             read_feature_seq(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path = tmp_path / "feat.bin"
+        write_feature_seq(path, make_seq(rng, 4, 4))
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(FeatureFileError):
+            read_feature_seq(path)
+
 
 class TestMmProviders:
     def test_toy_token_count(self, rng):
@@ -168,21 +171,6 @@ class TestMmProviders:
 
     def test_null_provider(self):
         assert NullContextProvider(9).provide("anything").length == 0
-
-    def test_registry_required(self):
-        old = set_mm_provider(None)
-        try:
-            with pytest.raises(ProviderError):
-                provide_mm_features("hello")
-        finally:
-            set_mm_provider(old)
-
-    def test_registry_round_trip(self):
-        old = set_mm_provider(NullContextProvider(3))
-        try:
-            assert provide_mm_features("x").width == 3
-        finally:
-            set_mm_provider(old)
 
     def test_replay_provider_round_trip(self, tmp_path, rng):
         seq = make_seq(rng, 5, 7)
@@ -266,7 +254,7 @@ class TestTranscriptEncoder:
 
     def test_hello_world_length(self):
         _, enc = self.make_encoder()
-        assert encode_transcript("hello world", enc).length == 11
+        assert enc.encode("hello world").length == 11
 
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=40))
     def test_length_preservation(self, text):

@@ -375,6 +375,26 @@ class TestSampleCommand:
         assert "\n" not in err
         assert json.loads(err)["error"] == "data"
 
+    @pytest.mark.parametrize(
+        "field", ["magic", "header", "name_len", "name", "ndim", "shape", "payload"]
+    )
+    def test_truncated_checkpoint(self, workspace, tmp_path, capsys, field):
+        blob = Path(workspace["ckpt"]).read_bytes()
+        name_len = int.from_bytes(blob[24:28], "little")
+        ndim_at = 28 + name_len
+        cut = {
+            "magic": 4, "header": 12, "name_len": 26, "name": 28 + name_len // 2,
+            "ndim": ndim_at + 2, "shape": ndim_at + 6, "payload": len(blob) - 10,
+        }[field]
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes(blob[:cut])
+        Path(str(ckpt) + ".json").write_bytes(Path(workspace["ckpt"] + ".json").read_bytes())
+        rc = main(["sample", "--config", workspace["cfg"], "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "x.wav"), "--frames", "4"])
+        err = capsys.readouterr().err.strip()
+        assert rc == EXIT_DATA
+        assert json.loads(err)["error"] == "data"
+
 
 class TestEditCommand:
     def test_preserves_frame_count(self, workspace, tmp_path, capsys):

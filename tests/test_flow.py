@@ -116,27 +116,34 @@ class TestSamplerConfig:
             SamplerConfig(solver="rk4")
 
 
-class ConstantFieldModel:
-    """Analytic velocity field v = x1 - x0; Euler integrates it exactly."""
+class ConstantBatchFieldModel:
+    """Analytic velocity field: _forward returns one fixed v for every item.
 
-    def __init__(self, v):
+    With v = x1 - x0, Euler integrates it exactly.
+    """
+
+    def __init__(self, v, dtype=np.float32):
         self.v = np.asarray(v, dtype=np.float64)
+        self.dtype = dtype
         self.count = 0
 
-    def predict_velocity(self, x, t, bundle):
+    def _forward(self, x_t, ts, high, valid, low):
         self.count += 1
-        return self.v.copy()
+        B = x_t.data.shape[0]
+        return Tensor(np.broadcast_to(self.v, (B,) + self.v.shape).copy())
 
 
 class LinearFieldModel:
     """v(x, t) = x, so the backwards solution contracts by e^{-1}."""
 
+    dtype = np.float32
+
     def __init__(self):
         self.count = 0
 
-    def predict_velocity(self, x, t, bundle):
+    def _forward(self, x_t, ts, high, valid, low):
         self.count += 1
-        return np.asarray(x, dtype=np.float64).copy()
+        return Tensor(np.asarray(x_t.data, dtype=np.float64).copy())
 
 
 class TestSampler:
@@ -146,7 +153,7 @@ class TestSampler:
         seed = 123
         x0 = rng.standard_normal(shape)
         x1 = np.random.default_rng(seed).standard_normal(shape)
-        model = ConstantFieldModel(x1 - x0)
+        model = ConstantBatchFieldModel(x1 - x0)
         out = sample(
             model,
             empty_bundle(4, d_low=5),
@@ -156,17 +163,17 @@ class TestSampler:
         assert np.max(np.abs(out - x0)) < 1e-9
 
     def test_scale_one_single_forward_per_step(self):
-        model = ConstantFieldModel(np.zeros((2, 2)))
+        model = ConstantBatchFieldModel(np.zeros((2, 2)))
         sample(model, empty_bundle(2), (2, 2), SamplerConfig(steps=7, guidance_scale=1.0))
         assert model.count == 7
 
     def test_guided_two_forwards_per_step(self):
-        model = ConstantFieldModel(np.zeros((2, 2)))
+        model = ConstantBatchFieldModel(np.zeros((2, 2)))
         sample(model, empty_bundle(2), (2, 2), SamplerConfig(steps=7, guidance_scale=6.0))
         assert model.count == 14
 
     def test_midpoint_two_evals_per_step(self):
-        model = ConstantFieldModel(np.zeros((2, 2)))
+        model = ConstantBatchFieldModel(np.zeros((2, 2)))
         sample(
             model,
             empty_bundle(2),
@@ -209,23 +216,9 @@ class TestSampler:
         assert not np.array_equal(a, c)
 
     def test_frame_mismatch_rejected(self):
-        model = ConstantFieldModel(np.zeros((2, 2)))
+        model = ConstantBatchFieldModel(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             sample(model, empty_bundle(3), (2, 2), SamplerConfig(steps=1))
-
-
-class ConstantBatchFieldModel:
-    """Batched analogue of ConstantFieldModel: _forward returns one fixed v."""
-
-    def __init__(self, v, dtype=np.float32):
-        self.v = np.asarray(v, dtype=np.float64)
-        self.dtype = dtype
-        self.count = 0
-
-    def _forward(self, x_t, ts, high, valid, low):
-        self.count += 1
-        B = x_t.data.shape[0]
-        return Tensor(np.broadcast_to(self.v, (B,) + self.v.shape).copy())
 
 
 class TestSampleBatch:
@@ -242,13 +235,47 @@ class TestSampleBatch:
         assert out.shape == (B, T, D)
         assert np.max(np.abs(out - (x1 - v))) < 1e-9
 
-    def test_single_item_matches_sequential_sampler(self):
-        model = FlowModel(TINY, seed=0, toy_vocab=["dog", "cat"])
-        bundle = model.conditioner.assemble(3, instruction="dog")
-        cfg = SamplerConfig(steps=5, guidance_scale=2.0, seed=11)
-        batched = sample_batch(model, [bundle], (3, 3), cfg)
-        single = sample(model, bundle, (3, 3), cfg)
-        assert np.array_equal(batched[0], single)
+    def test_guided_outputs_pinned(self):
+        """Guided Euler and midpoint outputs of a seeded model, as recorded
+        from the separate single-item sampler this one replaced."""
+        expected = {
+            "euler": [
+                [-0.21204325324731754, 2.6869672918917304, 0.8539396121352584],
+                [-1.823514217327861, 0.5666415858113086, -1.500295771231532],
+                [-0.5862421248703442, 1.2764083249943843, 0.6191755241914387],
+            ],
+            "midpoint": [
+                [-0.7752172864972285, 2.506188408164418, 1.119625398046785],
+                [-1.6865938370170803, -0.2620514232691872, -2.3503510089357853],
+                [-1.447979631003842, 1.5456258183591935, 0.48593726077784527],
+            ],
+        }
+        for solver, want in expected.items():
+            model = FlowModel(TINY, seed=0, toy_vocab=["dog", "cat"])
+            model.params["dit.out.w"].data[...] = np.random.default_rng(5).standard_normal(
+                (TINY.width, TINY.d_lat)
+            ).astype(np.float32)
+            bundle = model.conditioner.assemble(3, instruction="dog", transcript="hi")
+            cfg = SamplerConfig(steps=5, guidance_scale=2.0, seed=11, solver=solver)
+            np.testing.assert_allclose(sample(model, bundle, (3, 3), cfg), want, rtol=1e-6)
+
+    @pytest.mark.parametrize("wrong", ["latent", "frame_stream", "context"])
+    def test_width_mismatch_rejected(self, wrong):
+        model = FlowModel(TINY, seed=0)
+        d_lat, d_low, d_high = TINY.d_lat, TINY.d_low, TINY.d_high
+        if wrong == "latent":
+            d_lat += 1
+        elif wrong == "frame_stream":
+            d_low += 1
+        else:
+            d_high += 1
+        high = FeatureSeq(np.ones((2, d_high), dtype=np.float32))
+        bundle = ConditioningBundle(high, FrameFeatures.zeros(3, d_low), {})
+        cfg = SamplerConfig(steps=1)
+        with pytest.raises(ValueError, match="width"):
+            sample(model, bundle, (3, d_lat), cfg)
+        with pytest.raises(ValueError, match="width"):
+            sample_batch(model, [bundle, bundle], (3, d_lat), cfg)
 
     def test_deterministic_and_items_distinct(self):
         model = FlowModel(TINY, seed=0, toy_vocab=["dog", "cat"])

@@ -110,6 +110,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        store = make_store(rng, [(3, 4), (7,)])
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, store, step=1)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
+
     def test_float64_params_rejected(self, tmp_path):
         store = ParamStore()
         store.create("w", np.zeros(3, dtype=np.float64))

@@ -256,3 +256,10 @@ class TestMelDump:
         p.write_bytes(b"NOTMEL00" + b"\x00" * 16)
         with pytest.raises(ValueError, match="not a mel dump"):
             read_mel_dump(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "m.mel"
+        write_mel_dump(np.zeros((3, 5), dtype=np.float32), p)
+        p.write_bytes(p.read_bytes() + b"junk")
+        with pytest.raises(ValueError, match="trailing"):
+            read_mel_dump(p)
