@@ -129,6 +129,8 @@ def read_wav(path, session_rate: int | None = None) -> AudioBuffer:
     audio_format, n_channels, rate, _byte_rate, block_align, bits = fmt
     if n_channels < 1:
         raise UnsupportedWavError(f"{path}: channel count {n_channels}")
+    if rate < 1:
+        raise UnsupportedWavError(f"{path}: sample rate {rate}")
     if audio_format == _FMT_PCM and bits == 16:
         raw = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2")
         samples = raw.astype(np.float64) / 32768.0

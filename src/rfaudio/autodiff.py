@@ -30,7 +30,6 @@ __all__ = [
     "softmax",
     "layer_norm",
     "gelu",
-    "silu",
     "embedding",
     "depthwise_conv1d",
     "scaled_dot_product_attention",
@@ -99,9 +98,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -161,15 +157,7 @@ class Tensor:
         return add(-self, other)
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
         return mul(self, 1.0 / float(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self.dtype), self)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -182,12 +170,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis, keepdims)
-
-
-def _wrap(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _make(name: str, data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -256,26 +238,6 @@ def mul(a, b):
             _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make("mul", data, parents, backward)
-
-
-def div(a: Tensor, b: Tensor):
-    data = a.data / b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make("div", data, (a, b), backward)
-
-
-def power(a: Tensor, p):
-    p = float(p)
-    data = a.data**p
-
-    def backward(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
-
-    return _make("pow", data, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor):
@@ -402,16 +364,6 @@ def gelu(a: Tensor):
         _accum(a, g * (phi_cdf + a.data * pdf))
 
     return _make("gelu", data, (a,), backward)
-
-
-def silu(a: Tensor):
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    data = a.data * sig
-
-    def backward(g):
-        _accum(a, g * sig * (1.0 + a.data * (1.0 - sig)))
-
-    return _make("silu", data, (a,), backward)
 
 
 def embedding(table: Tensor, indices):

@@ -119,36 +119,35 @@ class ManifestDataset:
             yield latents, bundle
 
 
-def _build_manifest_training(config: RunConfig, root: Path):
+def _corpus_mels(root: Path, config: RunConfig, min_items: int):
+    """(items, source mels, target mels) of a forged corpus under ``root``."""
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise DataError(f"no manifest.json under {root}")
     try:
-        manifest = load_manifest(manifest_path)
+        items = load_manifest(manifest_path)["items"]
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    items = manifest["items"]
-    if not items:
-        raise DataError(f"manifest {manifest_path} lists no items")
+    if len(items) < min_items:
+        raise DataError(f"manifest {manifest_path} lists fewer than {min_items} items")
+    try:
+        source_mels = [mel_spectrogram(read_wav(root / item["source_path"]), config.mel)
+                       for item in items]
+        target_mels = [mel_spectrogram(read_wav(root / item["target_path"]), config.mel)
+                       for item in items]
+    except (ValueError, OSError) as exc:
+        raise DataError(f"failed to load corpus audio: {exc}") from exc
+    return items, source_mels, target_mels
+
+
+def _build_manifest_training(config: RunConfig, root: Path):
     if config.model.d_lat != config.mel.n_mels or config.model.d_mel != config.mel.n_mels:
         raise DataError(
             f"mel-latent training needs model.d_lat == model.d_mel == mel.n_mels "
             f"({config.mel.n_mels}); got d_lat={config.model.d_lat} "
             f"d_mel={config.model.d_mel}"
         )
-
-    try:
-        target_mels = []
-        source_mels = []
-        for item in items:
-            source_mels.append(
-                mel_spectrogram(read_wav(root / item["source_path"]), config.mel)
-            )
-            target_mels.append(
-                mel_spectrogram(read_wav(root / item["target_path"]), config.mel)
-            )
-    except (ValueError, OSError) as exc:
-        raise DataError(f"failed to load corpus audio: {exc}") from exc
+    items, source_mels, target_mels = _corpus_mels(root, config, min_items=1)
 
     frame_counts = {m.n_frames for m in target_mels} | {m.n_frames for m in source_mels}
     if len(frame_counts) != 1:
@@ -352,24 +351,7 @@ def _metric_report(mels_a, mels_b, pairs) -> dict:
 
 def _cmd_eval(args, config: RunConfig) -> int:
     if args.manifest is not None:
-        root = Path(args.manifest)
-        manifest_path = root / "manifest.json"
-        if not manifest_path.is_file():
-            raise DataError(f"no manifest.json under {root}")
-        try:
-            manifest = load_manifest(manifest_path)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
-        items = manifest["items"]
-        if len(items) < 2:
-            raise DataError("manifest lists fewer than 2 items")
-        try:
-            mels_a = [mel_spectrogram(read_wav(root / i["source_path"]), config.mel)
-                      for i in items]
-            mels_b = [mel_spectrogram(read_wav(root / i["target_path"]), config.mel)
-                      for i in items]
-        except (ValueError, OSError) as exc:
-            raise DataError(f"failed to load corpus audio: {exc}") from exc
+        _items, mels_a, mels_b = _corpus_mels(Path(args.manifest), config, min_items=2)
         pairs = list(zip(mels_a, mels_b))
         counts = {"a": len(mels_a), "b": len(mels_b), "pairs": len(pairs)}
     else:

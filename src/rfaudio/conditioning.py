@@ -19,7 +19,6 @@ conditional and unconditional passes share one code path.
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,7 @@ from .autodiff import (
     layer_norm,
     matmul,
 )
+from .binfile import read_matrix, write_matrix
 from .optim import ParamStore
 
 logger = logging.getLogger("rfaudio.conditioning")
@@ -164,10 +164,6 @@ class ConditioningBundle:
     low: FrameFeatures
     flags: dict = field(default_factory=dict)
 
-    @property
-    def has_context(self) -> bool:
-        return self.high.length > 0
-
 
 @dataclass(frozen=True)
 class PromptMask:
@@ -201,36 +197,19 @@ class PromptMask:
 
 def write_feature_seq(path, seq: FeatureSeq) -> None:
     """Serialize a feature sequence: magic, u32 L, u32 D, float32 LE rows."""
-    data = np.ascontiguousarray(seq.tokens.data, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(FEATSEQ_MAGIC)
-        fh.write(struct.pack("<II", data.shape[0], data.shape[1]))
-        fh.write(data.tobytes())
+    write_matrix(path, FEATSEQ_MAGIC, seq.tokens.data)
 
 
 def read_feature_seq(path) -> FeatureSeq:
     """Load a feature sequence written by :func:`write_feature_seq`.
 
-    Replayed features carry no validity semantics of their own; every row
-    is marked valid.
+    Any malformed file raises :class:`FeatureFileError`. Replayed features
+    carry no validity semantics of their own; every row is marked valid.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != FEATSEQ_MAGIC:
-        raise FeatureFileError(f"bad feature file magic {blob[:8]!r}")
-    if len(blob) < 16:
-        raise FeatureFileError("feature file truncated in header")
-    length, width = struct.unpack("<II", blob[8:16])
-    if width < 1:
-        raise FeatureFileError("feature width must be at least 1")
-    expected = 16 + 4 * length * width
-    if len(blob) != expected:
-        raise FeatureFileError(
-            f"feature file holds {len(blob)} bytes, expected {expected} "
-            f"for a {length} x {width} matrix"
-        )
-    rows = np.frombuffer(blob[16:], dtype="<f4").reshape(length, width).copy()
-    return FeatureSeq(Tensor(rows), np.ones(length, dtype=bool))
+    rows = read_matrix(path, FEATSEQ_MAGIC, "feature file", FeatureFileError)
+    if rows.shape[1] < 1:
+        raise FeatureFileError(f"{path}: feature width must be at least 1")
+    return FeatureSeq(Tensor(rows), np.ones(len(rows), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +339,6 @@ class ReplaySyncProvider:
             )
         idx = np.minimum(idx, n - 1)
         return FrameFeatures(self._rows[idx].copy(), np.ones(latent_T, dtype=bool))
-
-
-def provide_sync_features(
-    video=None,
-    latent_T: int = 0,
-    provider=None,
-    latent_rate: float = DEFAULT_LATENT_RATE,
-) -> FrameFeatures:
-    """Fetch frame-aligned sync features resampled onto ``latent_T`` frames."""
-    if latent_T < 1:
-        raise ValueError("latent_T must be at least 1")
-    chosen = provider if provider is not None else NullSyncProvider()
-    return chosen.provide(video, latent_T, latent_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +607,9 @@ class Conditioner:
         mm = self.mm_provider.provide(instruction, aux)
         trans = self.encoder.encode(transcript)
         high = build_high_stream(self.mm_adapter.apply(mm), self.trans_adapter.apply(trans))
-        sync = provide_sync_features(
-            video, latent_T, provider=self.sync_provider, latent_rate=latent_rate
-        )
+        if latent_T < 1:
+            raise ValueError("latent_T must be at least 1")
+        sync = self.sync_provider.provide(video, latent_T, latent_rate)
         if mel is None:
             mel = FrameFeatures.zeros(latent_T, self.d_mel, valid=False)
         if mel.frame_count != latent_T:

@@ -661,6 +661,15 @@ def load_manifest(path) -> dict:
         raise ValueError(f"unsupported manifest version in {path}")
     if not isinstance(payload.get("items"), list):
         raise ValueError(f"manifest {path} has no item list")
+    for index, item in enumerate(payload["items"]):
+        if not isinstance(item, dict) or not all(
+            isinstance(item.get(key), str)
+            for key in ("id", "source_path", "target_path", "instruction")
+        ):
+            raise ValueError(
+                f"manifest {path} item {index} needs string id, source_path, "
+                f"target_path and instruction"
+            )
     return payload
 
 

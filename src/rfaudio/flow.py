@@ -474,8 +474,7 @@ def load_model(path):
     returned model's conditioner if the original used any.
     """
     store, step = load_checkpoint(path)
-    meta = json.loads(_sidecar_path(path).read_text())
-    config = ModelConfig(**meta["config"])
+    meta, config, codec = _read_sidecar(path)
     model = FlowModel(config, seed=meta.get("seed") or 0, toy_vocab=meta.get("toy_vocab"))
     loaded = set(store.names())
     expected = set(model.params.names())
@@ -495,6 +494,32 @@ def load_model(path):
         p.m[...] = q.m
         p.v[...] = q.v
     model.step = step
-    stats = meta.get("stats")
-    codec = LatentCodec.from_dict(stats) if stats else None
     return model, codec, meta
+
+
+def _read_sidecar(path):
+    """(meta, ModelConfig, codec or None) from a checkpoint's JSON sidecar.
+
+    A sidecar that is not an object, or whose ``config``, ``seed``,
+    ``toy_vocab`` or ``stats`` is missing or malformed, raises ``ValueError``
+    naming the sidecar.
+    """
+    sidecar = _sidecar_path(path)
+    meta = json.loads(sidecar.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: the sidecar must be a JSON object")
+    config, vocab, seed, stats = (meta.get(k) for k in ("config", "toy_vocab", "seed", "stats"))
+    if not isinstance(config, dict) or not all(type(v) is int for v in config.values()):
+        raise ValueError(f"{sidecar}: 'config' must be an object of integer model fields")
+    if vocab is not None and not (
+        isinstance(vocab, list) and all(isinstance(w, str) for w in vocab)
+    ):
+        raise ValueError(f"{sidecar}: 'toy_vocab' must be null or a list of strings")
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"{sidecar}: 'seed' must be null or an integer")
+    if stats is not None and not isinstance(stats, dict):
+        raise ValueError(f"{sidecar}: 'stats' must be null or an object")
+    try:
+        return meta, ModelConfig(**config), LatentCodec.from_dict(stats) if stats else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar}: malformed sidecar: {exc!r}") from exc

@@ -8,13 +8,12 @@ moment, second moment). Round-trips are bit-exact.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import NonFiniteError, Tensor
+from .binfile import Reader, Writer
 
 CHECKPOINT_MAGIC = b"RFADCKPT"
 CHECKPOINT_VERSION = 1
@@ -129,10 +128,6 @@ def adamw_step(
 # ---------------------------------------------------------------------------
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
 def save_checkpoint(path, params, step: int) -> None:
     """Write parameters + moments + step counter. Parameters must be float32."""
     plist = list(params)
@@ -141,55 +136,36 @@ def save_checkpoint(path, params, step: int) -> None:
             raise ValueError(
                 f"checkpoint stores float32 records; parameter {p.name!r} is {p.data.dtype}"
             )
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IQI", CHECKPOINT_VERSION, step, len(plist)))
+    with Writer(path, CHECKPOINT_MAGIC) as w:
+        w.fields("<IQI", CHECKPOINT_VERSION, step, len(plist))
         for p in plist:
-            name = p.name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-            fh.write(struct.pack("<I", p.data.ndim))
-            fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            _write_array(fh, p.data)
-            _write_array(fh, p.m)
-            _write_array(fh, p.v)
+            w.text(p.name)
+            w.fields("<I", p.data.ndim)
+            w.fields(f"<{p.data.ndim}I", *p.data.shape)
+            w.floats(p.data)
+            w.floats(p.m)
+            w.floats(p.v)
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (ParamStore, step).
 
-    A file that ends inside any field, or holds bytes after the last
-    record, raises ``ValueError`` naming the path.
+    A malformed file (see :class:`~rfaudio.binfile.Reader`), an unknown
+    version or a repeated record name raises ``ValueError`` naming the path.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    off = 8
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
-        off += n
-        return blob[off - n : off]
-
-    version, step, count = struct.unpack("<IQI", take(16))
+    r = Reader(path, CHECKPOINT_MAGIC, "checkpoint")
+    version, step, count = r.fields("<IQI")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise r.fail(f"unsupported checkpoint version {version}")
     store = ParamStore()
     for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        nbytes = 4 * math.prod(shape)
-        arrays = [
-            np.frombuffer(take(nbytes), dtype="<f4").reshape(shape).copy() for _ in range(3)
-        ]
-        p = store.create(name, arrays[0])
-        p.m = arrays[1]
-        p.v = arrays[2]
-    if off != len(blob):
-        raise ValueError(f"{path}: {len(blob) - off} trailing bytes after the last record")
+        name = r.text()
+        if name in store:
+            raise r.fail(f"repeated record {name!r}")
+        (ndim,) = r.fields("<I")
+        shape = r.fields(f"<{ndim}I")
+        p = store.create(name, r.floats(shape))
+        p.m = r.floats(shape)
+        p.v = r.floats(shape)
+    r.end()
     return store, step

@@ -8,13 +8,13 @@ float64.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .audio import AudioBuffer, _frame_stft, _hann_periodic, _overlap_add
+from .binfile import read_matrix, write_matrix
 
 MEL_DUMP_MAGIC = b"MELSPEC1"
 
@@ -53,10 +53,6 @@ class MelConfig:
     @property
     def n_bins(self) -> int:
         return self.n_fft // 2 + 1
-
-    @property
-    def frames_per_second(self) -> float:
-        return self.sample_rate / self.hop
 
     def frame_count(self, n_samples: int) -> int:
         if n_samples < self.n_fft:
@@ -250,31 +246,15 @@ def lsd(a, b, eps: float | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Mel dump format: 16-byte header (magic "MELSPEC1", u32 T, u32 n_mels),
-# then float32 row-major frames, little-endian.
+# Mel dump format: magic "MELSPEC1", u32 T, u32 n_mels, then float32
+# row-major frames, little-endian.
 # ---------------------------------------------------------------------------
 
 
 def write_mel_dump(frames, path) -> None:
-    arr = frames.frames if isinstance(frames, MelSpectrogram) else np.asarray(frames)
-    arr = np.ascontiguousarray(arr, dtype="<f4")
-    if arr.ndim != 2:
-        raise ValueError("mel dump requires a [T, n_mels] matrix")
-    with open(path, "wb") as fh:
-        fh.write(MEL_DUMP_MAGIC)
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
+    arr = frames.frames if isinstance(frames, MelSpectrogram) else frames
+    write_matrix(path, MEL_DUMP_MAGIC, arr)
 
 
 def read_mel_dump(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:8] != MEL_DUMP_MAGIC:
-        raise ValueError(f"{path}: not a mel dump")
-    t, m = struct.unpack_from("<II", blob, 8)
-    need = 16 + 4 * t * m
-    if len(blob) < need:
-        raise ValueError(f"{path}: truncated mel dump")
-    if len(blob) > need:
-        raise ValueError(f"{path}: {len(blob) - need} trailing bytes after the mel frames")
-    return np.frombuffer(blob[16:], dtype="<f4").reshape(t, m).copy()
+    return read_matrix(path, MEL_DUMP_MAGIC, "mel dump")

@@ -48,10 +48,6 @@ def op_gradcheck_cases(seed: int = 0):
          [_t(rng, 3, 4), _t(rng, 4)])
     case("mul", lambda xs: ad.tsum(ad.mul(ad.mul(xs[0], xs[1]), w_a)),
          [_t(rng, 3, 4), _t(rng, 3, 1)])
-    case("div", lambda xs: ad.tsum(ad.mul(ad.div(xs[0], xs[1]), w_a)),
-         [_t(rng, 3, 4), _t(rng, 3, 4, offset=3.0, scale=0.3)])
-    case("power", lambda xs: ad.tsum(ad.mul(ad.power(xs[0], 2.5), w_a)),
-         [_t(rng, 3, 4, offset=2.0, scale=0.2)])
     w_mm = _const(rng, 3, 2)
     case("matmul", lambda xs: ad.tsum(ad.mul(ad.matmul(xs[0], xs[1]), w_mm)),
          [_t(rng, 3, 4), _t(rng, 4, 2)])
@@ -83,7 +79,6 @@ def op_gradcheck_cases(seed: int = 0):
          lambda xs: ad.tsum(ad.mul(ad.layer_norm(xs[0], xs[1], xs[2]), w_ln)),
          [_t(rng, 2, 3, 6), _t(rng, 6, offset=1.0, scale=0.1), _t(rng, 6, scale=0.1)])
     case("gelu", lambda xs: ad.tsum(ad.mul(ad.gelu(xs[0]), w_a)), [_t(rng, 3, 4)])
-    case("silu", lambda xs: ad.tsum(ad.mul(ad.silu(xs[0]), w_a)), [_t(rng, 3, 4)])
     idx = rng.integers(0, 7, size=5)
     w_emb = _const(rng, 5, 4)
     case("embedding", lambda xs: ad.tsum(ad.mul(ad.embedding(xs[0], idx), w_emb)),

@@ -100,6 +100,15 @@ class TestWavIO:
         with pytest.raises(UnsupportedWavError):
             read_wav(p)
 
+    def test_zero_sample_rate(self, tmp_path):
+        p = tmp_path / "z.wav"
+        write_wav(AudioBuffer(np.zeros(4), 8000), p, format="pcm16")
+        blob = bytearray(p.read_bytes())
+        blob[24:28] = (0).to_bytes(4, "little")  # fmt chunk's sample rate
+        p.write_bytes(bytes(blob))
+        with pytest.raises(UnsupportedWavError):
+            read_wav(p)
+
     def test_truncated_container(self, tmp_path):
         buf = AudioBuffer(np.zeros(1000), 8000)
         p = tmp_path / "t.wav"

@@ -6,7 +6,6 @@ from rfaudio.autodiff import (
     Tensor,
     concatenate,
     depthwise_conv1d,
-    div,
     embedding,
     gelu,
     gradcheck,
@@ -16,7 +15,6 @@ from rfaudio.autodiff import (
     reshape,
     scaled_dot_product_attention,
     set_debug,
-    silu,
     softmax,
     stack,
     swap_last2,
@@ -28,6 +26,10 @@ from rfaudio.autodiff import (
 
 def t64(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+def sq(t):
+    return t * t
 
 
 def assert_gradcheck(f, tensors, tol=1e-5):
@@ -62,7 +64,7 @@ class TestForward:
 
     def test_float32_stays_float32(self):
         x = Tensor(np.ones((2, 2), dtype=np.float32))
-        y = gelu(silu(x * 0.5 + 1.0))
+        y = gelu(x * 0.5 + 1.0)
         assert y.data.dtype == np.float32
 
     def test_no_grad_skips_tape(self):
@@ -74,10 +76,9 @@ class TestForward:
     def test_debug_mode_catches_nonfinite(self):
         set_debug(True)
         try:
-            a = Tensor(np.ones(3))
-            b = Tensor(np.zeros(3))
-            with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
-                div(a, b)
+            a = Tensor(np.full(3, 1e200))
+            with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+                a * 1e200
         finally:
             set_debug(False)
 
@@ -85,17 +86,12 @@ class TestForward:
 class TestGradcheckOps:
     def test_polynomial_reference(self, rng):
         x = t64(rng, 5)
-        assert gradcheck(lambda ts: tsum(ts[0] ** 2.0), [x], eps=1e-5) < 1e-9
+        assert gradcheck(lambda ts: tsum(ts[0] * ts[0]), [x], eps=1e-5) < 1e-9
 
     def test_add_mul_broadcast(self, rng):
         a = t64(rng, 3, 1)
         b = t64(rng, 4)
         assert_gradcheck(lambda ts: tsum((ts[0] + ts[1]) * ts[1] + ts[0] * 0.5), [a, b])
-
-    def test_div(self, rng):
-        a = t64(rng, 3, 2)
-        b = Tensor(rng.uniform(0.5, 2.0, (3, 2)), requires_grad=True)
-        assert_gradcheck(lambda ts: tsum(div(ts[0], ts[1])), [a, b])
 
     def test_matmul_batched(self, rng):
         a = t64(rng, 2, 3, 4)
@@ -105,28 +101,28 @@ class TestGradcheckOps:
     def test_reshape_transpose(self, rng):
         a = t64(rng, 2, 3, 4)
         assert_gradcheck(
-            lambda ts: tsum(transpose(reshape(ts[0], (6, 4)), (1, 0)) ** 2.0), [a]
+            lambda ts: tsum(sq(transpose(reshape(ts[0], (6, 4)), (1, 0)))), [a]
         )
 
     def test_swap_last2(self, rng):
         a = t64(rng, 2, 3, 4)
-        assert_gradcheck(lambda ts: tsum(swap_last2(ts[0]) ** 3.0), [a])
+        assert_gradcheck(lambda ts: tsum(sq(swap_last2(ts[0])) * swap_last2(ts[0])), [a])
 
     @pytest.mark.parametrize("axis", [0, 1, -1])
     def test_concatenate(self, rng, axis):
         a = t64(rng, 2, 3)
         b = t64(rng, 2, 3)
-        assert_gradcheck(lambda ts: tsum(concatenate([ts[0], ts[1]], axis=axis) ** 2.0), [a, b])
+        assert_gradcheck(lambda ts: tsum(sq(concatenate([ts[0], ts[1]], axis=axis))), [a, b])
 
     def test_stack(self, rng):
         a = t64(rng, 3)
         b = t64(rng, 3)
-        assert_gradcheck(lambda ts: tsum(stack([ts[0], ts[1]], axis=0) ** 2.0), [a, b])
+        assert_gradcheck(lambda ts: tsum(sq(stack([ts[0], ts[1]], axis=0))), [a, b])
 
     @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True), (-1, False)])
     def test_reductions(self, rng, axis, keepdims):
         a = t64(rng, 3, 4)
-        assert_gradcheck(lambda ts: tsum(tmean(ts[0], axis, keepdims) ** 2.0), [a])
+        assert_gradcheck(lambda ts: tsum(sq(tmean(ts[0], axis, keepdims))), [a])
 
     def test_softmax(self, rng):
         a = t64(rng, 3, 5)
@@ -144,10 +140,6 @@ class TestGradcheckOps:
         a = t64(rng, 4, 3)
         assert_gradcheck(lambda ts: tsum(gelu(ts[0])), [a])
 
-    def test_silu(self, rng):
-        a = t64(rng, 4, 3)
-        assert_gradcheck(lambda ts: tsum(silu(ts[0])), [a])
-
     def test_embedding(self, rng):
         table = t64(rng, 6, 4)
         idx = np.array([0, 3, 3, 5])
@@ -157,7 +149,7 @@ class TestGradcheckOps:
     def test_depthwise_conv1d(self, rng):
         x = t64(rng, 5, 2)
         w = t64(rng, 3, 2)
-        assert_gradcheck(lambda ts: tsum(depthwise_conv1d(ts[0], ts[1]) ** 2.0), [x, w])
+        assert_gradcheck(lambda ts: tsum(sq(depthwise_conv1d(ts[0], ts[1]))), [x, w])
 
     def test_depthwise_conv1d_batched(self, rng):
         x = t64(rng, 2, 4, 3)
@@ -169,7 +161,7 @@ class TestGradcheckOps:
         k = t64(rng, 2, 3, 4)
         v = t64(rng, 2, 3, 4)
         assert_gradcheck(
-            lambda ts: tsum(scaled_dot_product_attention(ts[0], ts[1], ts[2]) ** 2.0),
+            lambda ts: tsum(sq(scaled_dot_product_attention(ts[0], ts[1], ts[2]))),
             [q, k, v],
         )
 

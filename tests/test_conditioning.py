@@ -19,6 +19,7 @@ from rfaudio.conditioning import (
     FeatureSeq,
     FrameFeatures,
     NullContextProvider,
+    NullSyncProvider,
     PromptMask,
     ReplayFeatureProvider,
     ReplaySyncProvider,
@@ -29,7 +30,6 @@ from rfaudio.conditioning import (
     condition_dropout,
     mask_prompt,
     null_bundle,
-    provide_sync_features,
     read_feature_seq,
     transcript_indices,
     write_feature_seq,
@@ -191,7 +191,7 @@ class TestMmProviders:
 
 class TestSyncProviders:
     def test_null_provider_shape_and_validity(self):
-        ff = provide_sync_features(latent_T=80)
+        ff = NullSyncProvider().provide(None, 80, DEFAULT_LATENT_RATE)
         assert ff.frame_count == 80
         assert ff.width == SYNC_WIDTH
         assert not ff.validity.any()
@@ -287,7 +287,8 @@ class TestTranscriptEncoder:
         tensors = [p.tensor for p in store]
 
         def f(*_):
-            return tsum(enc.encode("ab") .tokens ** 2)
+            tokens = enc.encode("ab").tokens
+            return tsum(tokens * tokens)
 
         assert gradcheck(f, tensors) < 1e-4
 
@@ -524,7 +525,7 @@ class TestConditionerAssembly:
     def test_gradients_reach_adapters_and_encoder(self, rng):
         store, cond = self.make_conditioner(rng)
         bundle = cond.assemble(10, instruction="dog", transcript="hi")
-        tsum(bundle.high.tokens ** 2).backward()
+        tsum(bundle.high.tokens * bundle.high.tokens).backward()
         assert store["cond.mm_adapter.w"].tensor.grad is not None
         assert store["cond.transcript_adapter.w"].tensor.grad is not None
         assert store["transcript.embed"].tensor.grad is not None

@@ -25,6 +25,7 @@ from rfaudio.config import (
     load_run_config,
     to_dict,
 )
+from rfaudio.dataforge import MANIFEST_VERSION
 from rfaudio.spectral import mel_spectrogram
 
 TINY_CFG = {
@@ -396,6 +397,31 @@ class TestSampleCommand:
         assert json.loads(err)["error"] == "data"
 
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda meta: [1, 2],
+        lambda meta: {"nope": 1},
+        lambda meta: {**meta, "config": {"bogus": 1}},
+        lambda meta: {**meta, "config": {**meta["config"], "width": "64"}},
+        lambda meta: {**meta, "toy_vocab": 5},
+        lambda meta: {**meta, "toy_vocab": [1]},
+        lambda meta: {**meta, "stats": [1]},
+        lambda meta: {**meta, "stats": {**meta["stats"], "mel": {"bogus": 1}}},
+        lambda meta: {**meta, "stats": {**meta["stats"], "mean": [[1]]}},
+    ], ids=["list_root", "no_config", "unknown_key", "string_width", "vocab_int",
+            "vocab_of_ints", "stats_list", "stats_bad_mel", "stats_bad_mean"])
+    def test_malformed_sidecar(self, workspace, tmp_path, capsys, corrupt):
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_bytes(Path(workspace["ckpt"]).read_bytes())
+        meta = json.loads(Path(workspace["ckpt"] + ".json").read_text())
+        sidecar = Path(str(ckpt) + ".json")
+        sidecar.write_text(json.dumps(corrupt(meta)))
+        rc = main(["sample", "--config", workspace["cfg"], "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "x.wav"), "--frames", "4"])
+        err = json.loads(capsys.readouterr().err.strip())
+        assert rc == EXIT_DATA
+        assert err["error"] == "data" and str(sidecar) in err["message"]
+
+
 class TestEditCommand:
     def test_preserves_frame_count(self, workspace, tmp_path, capsys):
         manifest = json.loads((workspace["data"] / "manifest.json").read_text())
@@ -473,6 +499,27 @@ class TestEvalCommand:
                    "--dir-b", str(workspace["data"] / "audio")])
         capsys.readouterr()
         assert rc == EXIT_DATA
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("items", [
+    [{"id": "a"}, {"id": "b"}],
+    [1, 2],
+    [{"id": str(i), "source_path": 5, "target_path": "t.wav", "instruction": "add"}
+     for i in range(2)],
+], ids=["missing_keys", "not_objects", "int_source_path"])
+def test_malformed_manifest_items(workspace, tmp_path, capsys, command, items):
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"version": MANIFEST_VERSION, "items": items})
+    )
+    argv = {
+        "train": ["--data", str(tmp_path), "--out", str(tmp_path / "x.ckpt"), "--steps", "1"],
+        "eval": ["--manifest", str(tmp_path)],
+    }[command]
+    rc = main([command, "--config", workspace["cfg"], *argv])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert rc == EXIT_DATA
+    assert err["error"] == "data"
 
 
 class TestGradcheckCommand:
