@@ -81,6 +81,8 @@ class AudioBuffer:
 
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
+#: the sample formats :func:`write_wav` writes
+WAV_FORMATS = ("float32", "pcm16")
 
 
 def _iter_chunks(blob: bytes):
@@ -176,7 +178,7 @@ def write_wav(buffer: AudioBuffer, path, format: str = "float32") -> None:
         payload = x.astype("<f4").tobytes()
         audio_format, bits = _FMT_IEEE_FLOAT, 32
     else:
-        raise ValueError(f"unknown wav format {format!r} (want 'pcm16' or 'float32')")
+        raise ValueError(f"unknown wav format {format!r}; expected one of {WAV_FORMATS}")
 
     block_align = bits // 8
     byte_rate = buffer.sample_rate * block_align

@@ -4,7 +4,8 @@ Each file is an 8-byte magic, then little-endian struct fields and float32
 payloads in the order its format lists them. :class:`Reader` is strict: a
 file that ends inside a field, holds a non-finite float, or has bytes after
 the last field raises the caller's error type with the path in the message.
-:class:`Writer` emits the same fields in the same order.
+:class:`Writer` emits the same fields in the same order and refuses to
+write a non-finite float.
 """
 
 from __future__ import annotations
@@ -66,28 +67,39 @@ class Reader:
 
 
 class Writer:
-    """Sequential writer; use as a context manager that owns the open file."""
+    """Sequential writer; use as a context manager.
+
+    The fields are kept in memory and the file is written only when the block
+    exits cleanly, so a failed save leaves no file and an existing one keeps
+    its bytes.
+    """
 
     def __init__(self, path, magic: bytes):
-        self._fh = open(path, "wb")
-        self._fh.write(magic)
+        self.path = path
+        self._chunks = [magic]
 
     def __enter__(self) -> "Writer":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self._fh.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            with open(self.path, "wb") as fh:
+                fh.writelines(self._chunks)
 
     def fields(self, fmt: str, *values) -> None:
-        self._fh.write(struct.pack(fmt, *values))
+        self._chunks.append(struct.pack(fmt, *values))
 
     def text(self, value: str) -> None:
         data = value.encode("utf-8")
         self.fields("<I", len(data))
-        self._fh.write(data)
+        self._chunks.append(data)
 
     def floats(self, arr) -> None:
-        self._fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        """Append ``arr`` as float32; raises if any value is not finite in float32."""
+        flat = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(flat).all():
+            raise FloatingPointError(f"{self.path}: refusing to write non-finite float32 values")
+        self._chunks.append(flat.tobytes())
 
 
 def write_matrix(path, magic: bytes, matrix) -> None:

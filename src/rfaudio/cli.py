@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .audio import read_wav, write_wav
-from .autodiff import NonFiniteError
 from .conditioning import FrameFeatures, mask_prompt
 from .config import ConfigError, DataError, RunConfig, load_run_config, to_dict
 from .dataforge import (
@@ -99,9 +98,8 @@ class ManifestDataset:
     because batches stack the latent grid.
     """
 
-    def __init__(self, model: FlowModel, codec: LatentCodec, entries, seed: int = 0):
+    def __init__(self, model: FlowModel, entries, seed: int = 0):
         self.model = model
-        self.codec = codec
         self.entries = entries
         self.seed = int(seed)
 
@@ -163,17 +161,13 @@ def _build_manifest_training(config: RunConfig, root: Path):
         (codec.encode(tgt), src, item["instruction"])
         for item, src, tgt in zip(items, source_mels, target_mels)
     ]
-    dataset = ManifestDataset(model, codec, entries, seed=config.seed)
+    dataset = ManifestDataset(model, entries, seed=config.seed)
     return model, dataset, codec
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
-
-
-def _echo(config: RunConfig) -> dict:
-    return to_dict(config)
 
 
 def _emit(report: dict, out_path: str | None = None) -> None:
@@ -202,11 +196,11 @@ def _cmd_forge(args, config: RunConfig) -> int:
             seed=config.seed,
         )
     root = Path(args.root) if args.root else Path(config.paths.data_root) / "forged"
-    summary = forge_corpus(library, root, forge_config, echo=_echo(config))
+    summary = forge_corpus(library, root, forge_config, echo=to_dict(config))
     _emit({
         "manifest": str(summary.manifest_path),
         "counts": summary.counts,
-        "config": _echo(config),
+        "config": to_dict(config),
         "seeds": {"seed": config.seed},
     })
     return EXIT_OK
@@ -235,7 +229,7 @@ def _cmd_train(args, config: RunConfig) -> int:
         "loss_csv": str(csv_path),
         "steps": args.steps,
         "final_loss": result.losses[-1] if result.losses else None,
-        "config": _echo(config),
+        "config": to_dict(config),
         "seeds": {"seed": config.seed},
     })
     return EXIT_OK
@@ -251,9 +245,17 @@ def _load_checkpoint(path_str: str):
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
 
 
-def _decode_to_wav(latents: np.ndarray, codec: LatentCodec, iterations: int):
-    mel = codec.decode(latents)
-    return griffin_lim(mel, iterations=iterations), mel
+def _render(args, config: RunConfig, model: FlowModel, codec: LatentCodec, frames: int,
+            **prompt):
+    """Sample ``frames`` latent frames for the instruction, vocode them, write ``args.out``."""
+    transcript = args.instruction if args.transcript is None else args.transcript
+    bundle = model.conditioner.assemble(
+        frames, instruction=args.instruction, transcript=transcript, **prompt
+    )
+    latents = sample(model, bundle, (frames, model.config.d_lat), config.sampler)
+    wav = griffin_lim(codec.decode(latents), iterations=args.gl_iters)
+    write_wav(wav, args.out)
+    return wav
 
 
 def _cmd_sample(args, config: RunConfig) -> int:
@@ -267,19 +269,13 @@ def _cmd_sample(args, config: RunConfig) -> int:
     else:
         n_samples = int(round(args.seconds * codec.config.sample_rate))
         frames = codec.config.frame_count(n_samples)
-    transcript = args.instruction if args.transcript is None else args.transcript
-    bundle = model.conditioner.assemble(
-        frames, instruction=args.instruction, transcript=transcript
-    )
-    latents = sample(model, bundle, (frames, model.config.d_lat), config.sampler)
-    wav, _mel = _decode_to_wav(latents, codec, args.gl_iters)
-    write_wav(wav, args.out)
+    wav = _render(args, config, model, codec, frames)
     _emit({
         "wav": str(args.out),
         "frames": frames,
         "duration_s": wav.duration_s,
         "instruction": args.instruction,
-        "config": _echo(config),
+        "config": to_dict(config),
         "seeds": {"seed": config.seed, "sampler": config.sampler.seed},
     })
     return EXIT_OK
@@ -295,22 +291,13 @@ def _cmd_edit(args, config: RunConfig) -> int:
     except (ValueError, OSError) as exc:
         raise DataError(f"cannot analyze source audio: {exc}") from exc
     frames = source_mel.n_frames
-    transcript = args.instruction if args.transcript is None else args.transcript
-    bundle = model.conditioner.assemble(
-        frames,
-        instruction=args.instruction,
-        transcript=transcript,
-        mel=FrameFeatures(source_mel.frames),
-    )
-    latents = sample(model, bundle, (frames, model.config.d_lat), config.sampler)
-    wav, out_mel = _decode_to_wav(latents, codec, args.gl_iters)
-    write_wav(wav, args.out)
+    wav = _render(args, config, model, codec, frames, mel=FrameFeatures(source_mel.frames))
     _emit({
         "wav": str(args.out),
         "source_frames": frames,
         "output_frames": mel_spectrogram(wav, codec.config).n_frames,
         "instruction": args.instruction,
-        "config": _echo(config),
+        "config": to_dict(config),
         "seeds": {"seed": config.seed, "sampler": config.sampler.seed},
     })
     return EXIT_OK
@@ -353,7 +340,6 @@ def _cmd_eval(args, config: RunConfig) -> int:
     if args.manifest is not None:
         _items, mels_a, mels_b = _corpus_mels(Path(args.manifest), config, min_items=2)
         pairs = list(zip(mels_a, mels_b))
-        counts = {"a": len(mels_a), "b": len(mels_b), "pairs": len(pairs)}
     else:
         if args.dir_a is None or args.dir_b is None:
             raise ConfigError("eval needs either --manifest or both --dir-a and --dir-b")
@@ -363,12 +349,11 @@ def _cmd_eval(args, config: RunConfig) -> int:
         mels_a = list(by_name_a.values())
         mels_b = list(by_name_b.values())
         pairs = [(by_name_a[name], by_name_b[name]) for name in common]
-        counts = {"a": len(mels_a), "b": len(mels_b), "pairs": len(pairs)}
 
     report = {
         "metrics": _metric_report(mels_a, mels_b, pairs),
-        "counts": counts,
-        "config": _echo(config),
+        "counts": {"a": len(mels_a), "b": len(mels_b), "pairs": len(pairs)},
+        "config": to_dict(config),
         "seeds": {"seed": config.seed},
     }
     _emit(report, args.out)
@@ -377,7 +362,7 @@ def _cmd_eval(args, config: RunConfig) -> int:
 
 def _cmd_gradcheck(args, config: RunConfig) -> int:
     report = run_validation(config.seed)
-    report["config"] = _echo(config)
+    report["config"] = to_dict(config)
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_NUMERIC
 
@@ -497,9 +482,9 @@ def main(argv=None) -> int:
         return _fail("config", exc, EXIT_CONFIG)
     except DataError as exc:
         return _fail("data", exc, EXIT_DATA)
-    except (FileNotFoundError, OSError) as exc:
+    except OSError as exc:
         return _fail("data", exc, EXIT_DATA)
-    except (TrainingDiverged, NonFiniteError, FloatingPointError) as exc:
+    except (TrainingDiverged, FloatingPointError) as exc:
         return _fail("numerical", exc, EXIT_NUMERIC)
     except ValueError as exc:
         return _fail("data", exc, EXIT_DATA)

@@ -7,14 +7,15 @@ mel analysis with FFT 1024 / hop 256 / 100 bins, AdamW at 5e-5 with betas
 0.9/0.999 and weight decay 1e-3, a 100-step sampler at guidance scale 6.0.
 
 Configs load from JSON files and accept ``--dotted.key value`` command-line
-overrides; values are parsed as JSON scalars and coerced to the type of the
-default they replace, so typos in key names or types fail loudly with
-:class:`ConfigError`.
+overrides; values are parsed as JSON (or kept as text) and coerced to the
+type of the field default they replace, so typos in key names or types fail
+loudly with :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Sequence
@@ -66,16 +67,6 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-_SECTION_TYPES = {
-    "mel": MelConfig,
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "sampler": SamplerConfig,
-    "forge": ForgeConfig,
-    "paths": PathsConfig,
-}
-
-
 def to_dict(config) -> dict:
     """Dataclass tree -> plain dict of JSON types (tuples become lists)."""
     out = {}
@@ -90,116 +81,88 @@ def to_dict(config) -> dict:
     return out
 
 
-def _defaults_payload(cls) -> dict:
-    """Field defaults as a dict, without running ``__post_init__`` resolution.
+def _build(cls, payload, prefix: str = ""):
+    """Construct ``cls`` from a JSON object, checking every key against its fields.
 
-    Deriving the merge baseline from an instance would bake in resolved
-    values (e.g. ``f_max`` computed from the default sample rate), which
-    would then contradict a file that changes the rate but not the derived
-    field. Raw field defaults keep such knobs unset until construction.
+    Only the keys the payload gives reach the constructor, so fields derived
+    in ``__post_init__`` (``MelConfig.f_max`` from the sample rate) follow the
+    values they derive from. ``prefix`` is the dotted path used in errors.
     """
-    out = {}
-    for f in fields(cls):
-        if f.default is not MISSING:
-            value = f.default
-        elif f.default_factory is not MISSING:
-            value = f.default_factory()
-        else:
-            raise ConfigError(f"config field '{f.name}' has no default")
-        if is_dataclass(value):
-            out[f.name] = _defaults_payload(type(value))
-        elif isinstance(value, tuple):
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
-    return out
-
-
-def _build_section(cls, payload: dict, prefix: str):
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown} under '{prefix}'")
+    if not isinstance(payload, dict):
+        where = prefix[:-1] or "<root>"
+        raise ConfigError(
+            f"config section '{where}' must be an object, got {type(payload).__name__}"
+        )
+    defaults = {
+        f.name: f.default if f.default is not MISSING else f.default_factory()
+        for f in fields(cls)
+    }
     kwargs = {}
     for name, value in payload.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
+        key = prefix + name
+        if name not in defaults:
+            raise ConfigError(f"unknown config key '{key}'")
+        default = defaults[name]
+        if is_dataclass(default):
+            kwargs[name] = _build(type(default), value, key + ".")
+        else:
+            kwargs[name] = _coerce(value, default, key)
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid '{prefix}' config: {exc}") from exc
+        section = f"'{prefix[:-1]}' " if prefix else ""
+        raise ConfigError(f"invalid {section}config: {exc}") from exc
 
 
 def from_dict(payload: dict) -> RunConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config root must be an object, got {type(payload).__name__}")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown} at the top level")
-    kwargs = {}
-    for name, value in payload.items():
-        if name in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"'{name}' must be an object")
-            kwargs[name] = _build_section(_SECTION_TYPES[name], value, name)
-        else:
-            kwargs[name] = value
-    try:
-        return RunConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config: {exc}") from exc
+    return _build(RunConfig, payload)
 
 
-def _coerce(parsed, current, key: str):
-    """Fit a JSON-parsed override onto the type of the default it replaces."""
-    if current is None:
-        return parsed
-    if isinstance(current, bool):
-        if not isinstance(parsed, bool):
-            raise ConfigError(f"'{key}' expects true/false, got {parsed!r}")
-        return parsed
-    if isinstance(current, int) and not isinstance(current, bool):
-        if isinstance(parsed, bool) or not isinstance(parsed, (int, float)):
-            raise ConfigError(f"'{key}' expects an integer, got {parsed!r}")
-        if isinstance(parsed, float):
-            if not parsed.is_integer():
-                raise ConfigError(f"'{key}' expects an integer, got {parsed!r}")
-            parsed = int(parsed)
-        return parsed
-    if isinstance(current, float):
-        if isinstance(parsed, bool) or not isinstance(parsed, (int, float)):
-            raise ConfigError(f"'{key}' expects a number, got {parsed!r}")
-        return float(parsed)
-    if isinstance(current, str):
-        return parsed if isinstance(parsed, str) else str(parsed)
-    if isinstance(current, (list, tuple)):
-        if not isinstance(parsed, list):
-            raise ConfigError(f"'{key}' expects a JSON list, got {parsed!r}")
-        return parsed
-    raise ConfigError(f"'{key}' has unsupported type {type(current).__name__}")
+def _coerce(value, default, key: str):
+    """Fit a JSON value onto the type of the field default it replaces."""
+    if default is None:  # resolved by the dataclass itself (MelConfig.f_max)
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, int):
+        if not number or (isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"'{key}' expects an integer, got {value!r}")
+        return int(value)
+    if isinstance(default, float):
+        # the comparison is false for NaN, inf and integers beyond float range
+        if not (number and abs(value) <= sys.float_info.max):
+            raise ConfigError(f"'{key}' expects a finite number, got {value!r}")
+        return float(value)
+    if isinstance(default, str):
+        if not (number or isinstance(value, str)):
+            raise ConfigError(f"'{key}' expects a string, got {value!r}")
+        return str(value)
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"'{key}' expects a JSON list, got {value!r}")
+        return tuple(value)
+    raise ConfigError(f"'{key}' has unsupported type {type(default).__name__}")
 
 
 def apply_overrides(payload: dict, overrides: Sequence[tuple[str, str]]) -> dict:
-    """Apply ``(dotted key, raw string value)`` pairs onto a config dict."""
+    """Set ``(dotted key, raw string value)`` pairs in a config dict.
+
+    A value is parsed as JSON, or kept as text when it is not JSON, and
+    replaces what is at its path (a whole section, if the key names one).
+    Keys and types are checked when the dict is built into a :class:`RunConfig`.
+    """
     for key, raw in overrides:
-        parts = key.split(".")
+        *parents, leaf = key.split(".")
         node = payload
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"unknown config key '{key}'")
-            node = node[part]
-        leaf = parts[-1]
-        if not isinstance(node, dict) or leaf not in node:
-            raise ConfigError(f"unknown config key '{key}'")
+        for part in parents:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise ConfigError(f"cannot set '{key}': its parent is not an object")
         try:
-            parsed = json.loads(raw)
-        except json.JSONDecodeError:
-            parsed = raw
-        node[leaf] = _coerce(parsed, node[leaf], key)
+            node[leaf] = json.loads(raw)
+        except ValueError:
+            node[leaf] = raw
     return payload
 
 
@@ -207,27 +170,13 @@ def load_run_config(
     path=None, overrides: Sequence[tuple[str, str]] = ()
 ) -> RunConfig:
     """Defaults, optionally updated from a JSON file, then flag overrides."""
-    payload = _defaults_payload(RunConfig)
+    payload = {}
     if path is not None:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            file_payload = json.loads(path.read_text())
+            payload = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        _merge(payload, file_payload, prefix="")
-    apply_overrides(payload, overrides)
-    return from_dict(payload)
-
-
-def _merge(base: dict, update, prefix: str) -> None:
-    if not isinstance(update, dict):
-        raise ConfigError(f"config section '{prefix or '<root>'}' must be an object")
-    for key, value in update.items():
-        if key not in base:
-            raise ConfigError(f"unknown config key '{prefix}{key}'")
-        if isinstance(base[key], dict):
-            _merge(base[key], value, prefix=f"{prefix}{key}.")
-        else:
-            base[key] = _coerce(value, base[key], f"{prefix}{key}")
+    return from_dict(apply_overrides(payload, overrides))

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .audio import (
+    WAV_FORMATS,
     AudioBuffer,
     mix_at_snr,
     pitch_shift,
@@ -705,6 +706,10 @@ class ForgeConfig:
             raise ValueError("events_per_scene must be >= 1")
         if not (0.0 <= self.vad_threshold <= 1.0):
             raise ValueError("vad_threshold must lie in [0, 1]")
+        if self.wav_format not in WAV_FORMATS:
+            raise ValueError(
+                f"unknown wav_format {self.wav_format!r}; expected one of {WAV_FORMATS}"
+            )
 
     @classmethod
     def full_scale(cls, **overrides) -> "ForgeConfig":

@@ -10,6 +10,7 @@ from rfaudio.audio import read_wav
 from rfaudio.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     ToyModesDataset,
     build_toy_model,
@@ -17,14 +18,7 @@ from rfaudio.cli import (
     toy_mode_centers,
     toy_vocabulary,
 )
-from rfaudio.config import (
-    ConfigError,
-    RunConfig,
-    apply_overrides,
-    from_dict,
-    load_run_config,
-    to_dict,
-)
+from rfaudio.config import ConfigError, RunConfig, from_dict, load_run_config, to_dict
 from rfaudio.dataforge import MANIFEST_VERSION
 from rfaudio.spectral import mel_spectrogram
 
@@ -153,43 +147,57 @@ class TestLoadRunConfig:
 
 
 class TestOverrides:
-    def base(self):
-        return {"a": 1, "b": 2.0, "c": "x", "flag": True, "nested": {"k": 3}}
-
     def test_dotted_path(self):
-        payload = apply_overrides(self.base(), [("nested.k", "9")])
-        assert payload["nested"]["k"] == 9
+        assert load_run_config(None, [("sampler.steps", "9")]).sampler.steps == 9
 
     def test_int_accepts_integral_float(self):
-        assert apply_overrides(self.base(), [("a", "2.0")])["a"] == 2
+        steps = load_run_config(None, [("sampler.steps", "2.0")]).sampler.steps
+        assert steps == 2 and isinstance(steps, int)
 
     def test_int_rejects_fraction(self):
         with pytest.raises(ConfigError, match="integer"):
-            apply_overrides(self.base(), [("a", "2.5")])
+            load_run_config(None, [("sampler.steps", "2.5")])
 
     def test_int_rejects_bool(self):
         with pytest.raises(ConfigError, match="integer"):
-            apply_overrides(self.base(), [("a", "true")])
+            load_run_config(None, [("sampler.steps", "true")])
 
     def test_float_accepts_int(self):
-        value = apply_overrides(self.base(), [("b", "3")])["b"]
+        value = load_run_config(None, [("sampler.guidance_scale", "3")]).sampler.guidance_scale
         assert value == 3.0 and isinstance(value, float)
 
-    def test_bool_strict(self):
-        assert apply_overrides(self.base(), [("flag", "false")])["flag"] is False
-        with pytest.raises(ConfigError, match="true/false"):
-            apply_overrides(self.base(), [("flag", "1")])
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "1e400", "1" + "0" * 400],
+                             ids=["nan", "inf", "overflow", "huge_int"])
+    def test_float_rejects_non_finite(self, raw):
+        with pytest.raises(ConfigError, match="finite number"):
+            load_run_config(None, [("train.lr", raw)])
 
     def test_bare_string_passthrough(self):
-        assert apply_overrides(self.base(), [("c", "midpoint")])["c"] == "midpoint"
+        cfg = load_run_config(None, [("sampler.solver", "midpoint")])
+        assert cfg.sampler.solver == "midpoint"
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
-            apply_overrides(self.base(), [("nested.zzz", "1")])
+            load_run_config(None, [("sampler.zzz", "1")])
 
     def test_unknown_root(self):
         with pytest.raises(ConfigError, match="unknown config key"):
-            apply_overrides(self.base(), [("zzz", "1")])
+            load_run_config(None, [("zzz", "1")])
+
+    def test_number_becomes_string(self):
+        assert load_run_config(None, [("paths.output_dir", "2026")]).paths.output_dir == "2026"
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize("raw", ['{"a": 1}', "[1, 2]", "true", "null"])
+    def test_string_field_rejects_non_text(self, tmp_path, source, raw):
+        if source == "file":
+            path = tmp_path / "run.json"
+            path.write_text(f'{{"paths": {{"data_root": {raw}}}}}')
+            args = (path, [])
+        else:
+            args = (None, [("paths.data_root", raw)])
+        with pytest.raises(ConfigError, match="'paths.data_root' expects a string"):
+            load_run_config(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +283,14 @@ class TestForgeCommand:
         # 150000 per task * 2e-5 = 3 items per task requested
         assert all(c["generated"] == 3 for c in out["counts"].values())
 
+    def test_unknown_wav_format_rejected_before_work(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        rc = main(["forge", "--root", str(root), "--forge.wav_format", "pcm24"])
+        err = json.loads(capsys.readouterr().err.strip())
+        assert rc == EXIT_CONFIG
+        assert err["error"] == "config" and "pcm24" in err["message"]
+        assert not root.exists()
+
     def test_top_level_seed_changes_data(self, workspace, tmp_path, capsys):
         root = tmp_path / "seeded"
         assert main(["forge", "--config", workspace["cfg"], "--root", str(root),
@@ -324,6 +340,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err.strip()
         payload = json.loads(err)
         assert payload["error"] == "data"
+
+    def test_non_finite_checkpoint_refused(self, tmp_path, capsys):
+        out = tmp_path / "toy.ckpt"
+        out.write_bytes(b"old checkpoint")
+        rc = main(["train", "--data", "toy", "--out", str(out), "--steps", "1",
+                   "--train.lr", "1e39", *TOY_MODEL_OVERRIDES])
+        err = json.loads(capsys.readouterr().err.strip())
+        assert rc == EXIT_NUMERIC
+        assert err["error"] == "numerical" and str(out) in err["message"]
+        assert out.read_bytes() == b"old checkpoint"
+        assert not Path(str(out) + ".json").exists()
+        assert not Path(str(out) + ".loss.csv").exists()
 
     def test_bad_steps(self, workspace, capsys):
         rc = main(["train", "--config", workspace["cfg"], "--data", "toy",
@@ -544,6 +572,13 @@ class TestArgumentErrors:
         rc = main(["train", "--data", "toy", "--steps", "1", "--zzz.k", "1"])
         capsys.readouterr()
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("override", [["--seed.x", "1"], ["--sampler", "5"]])
+    def test_override_shape_mismatch(self, override, capsys):
+        rc = main(["train", "--data", "toy", "--steps", "1", *override])
+        err = json.loads(capsys.readouterr().err.strip())
+        assert rc == EXIT_CONFIG
+        assert err["error"] == "config"
 
     def test_override_missing_value(self, capsys):
         rc = main(["train", "--data", "toy", "--steps", "1", "--sampler.steps"])

@@ -98,3 +98,39 @@ def test_corrupt_file_loads_finite_or_raises_typed_error(name, tmp_path):
             assert not names_path or str(path) in str(exc), f"{label}: {exc}"
             continue
         assert all(np.all(np.isfinite(a)) for a in arrays(loaded)), label
+
+
+def _checkpoint_with(value):
+    def write(path):
+        store = ParamStore()
+        store.create("w", MATRIX[0].copy())
+        p = store.create("b", MATRIX[1:, :2].copy())
+        p.m[...] = value
+        save_checkpoint(path, store, step=3)
+    return write
+
+
+def _mel_dump_with(value):
+    def write(path):
+        frames = MATRIX.astype(np.float64)
+        frames[1, 2] = value
+        write_mel_dump(frames, path)
+    return write
+
+
+@pytest.mark.parametrize("write", [
+    _checkpoint_with(np.nan), _checkpoint_with(np.inf),
+    _mel_dump_with(np.nan), _mel_dump_with(-np.inf), _mel_dump_with(1e39),
+], ids=["checkpoint_nan", "checkpoint_inf", "mel_nan", "mel_-inf", "mel_float32_overflow"])
+@pytest.mark.parametrize("existing", [None, b"old bytes"], ids=["new", "existing"])
+def test_non_finite_refused_at_save(tmp_path, write, existing):
+    path = tmp_path / "file.bin"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(FloatingPointError, match="non-finite") as info:
+        write(path)
+    assert str(path) in str(info.value)
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
