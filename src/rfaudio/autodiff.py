@@ -22,12 +22,10 @@ __all__ = [
     "matmul",
     "reshape",
     "transpose",
-    "swap_last2",
     "concatenate",
     "stack",
     "tsum",
     "tmean",
-    "softmax",
     "layer_norm",
     "gelu",
     "embedding",
@@ -273,11 +271,6 @@ def transpose(a: Tensor, axes):
     return _make("transpose", data, (a,), backward)
 
 
-def swap_last2(a: Tensor):
-    axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    return transpose(a, axes)
-
-
 def concatenate(tensors: Sequence[Tensor], axis: int = 0):
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -315,19 +308,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False):
         [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
     return mul(tsum(a, axis, keepdims), 1.0 / float(count))
-
-
-def softmax(a: Tensor):
-    """Softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        _accum(a, data * (g - dot))
-
-    return _make("softmax", data, (a,), backward)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5):
@@ -410,17 +390,63 @@ def depthwise_conv1d(a: Tensor, weight: Tensor):
     return _make("depthwise_conv1d", data, (a, weight), backward)
 
 
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, mask=None):
-    """softmax(q k^T / sqrt(dh) + mask) v, composed from primitive ops.
+#: query rows per block in the attention forward; a block's scores are the
+#: only ``[..., rows, L]`` scratch an untaped call allocates
+ATTENTION_BLOCK_ROWS = 128
 
-    mask, when given, is an additive constant array broadcastable to the
-    score shape (use large negatives to disable positions).
+
+def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, mask=None):
+    """softmax(q k^T / sqrt(dh) + mask) v as one tape op.
+
+    q: [..., T, dh], k: [..., L, dh], v: [..., L, dv]. mask, when given, is
+    an additive constant array broadcastable to the score shape [..., T, L]
+    (use large negatives to disable positions). The forward runs over
+    blocks of ``ATTENTION_BLOCK_ROWS`` query rows, so without a tape it
+    never holds the whole score matrix; when the tape records, the softmax
+    probabilities are kept for the backward.
     """
-    dh = q.shape[-1]
-    scores = mul(matmul(q, swap_last2(k)), 1.0 / math.sqrt(dh))
+    qd, kd, vd = q.data, k.data, v.data
+    scale = 1.0 / math.sqrt(qd.shape[-1])
+    dtype = np.result_type(qd, kd, vd)
+    batch = np.broadcast_shapes(qd.shape[:-2], kd.shape[:-2], vd.shape[:-2])
+    T, L = qd.shape[-2], kd.shape[-2]
+    qs = qd * scale
+    kt = np.swapaxes(kd, -1, -2)
     if mask is not None:
-        scores = add(scores, Tensor(np.asarray(mask, dtype=scores.dtype)))
-    return matmul(softmax(scores), v)
+        mask = np.broadcast_to(np.asarray(mask, dtype=dtype), batch + (T, L))
+    record = _GRAD_ENABLED[-1] and (q.requires_grad or k.requires_grad or v.requires_grad)
+    # taped: every row's probabilities, kept for the backward; untaped: one block
+    probs = np.empty(batch + (T if record else min(T, ATTENTION_BLOCK_ROWS), L), dtype=dtype)
+    data = np.empty(batch + (T, vd.shape[-1]), dtype=dtype)
+    for r0 in range(0, T, ATTENTION_BLOCK_ROWS):
+        rows = slice(r0, r0 + ATTENTION_BLOCK_ROWS)
+        at = r0 if record else 0
+        e = probs[..., at : at + min(T - r0, ATTENTION_BLOCK_ROWS), :]
+        np.matmul(qs[..., rows, :], kt, out=e)
+        if mask is not None:
+            e += mask[..., rows, :]
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        total = e.sum(axis=-1, keepdims=True)
+        # normalising the [rows, dv] output is cheaper than the [rows, L] block
+        out = data[..., rows, :]
+        np.matmul(e, vd, out=out)
+        out /= total
+        if record:
+            e /= total
+
+    def backward(g):
+        _accum(v, _unbroadcast(np.matmul(np.swapaxes(probs, -1, -2), g), vd.shape))
+        ds = np.matmul(g, np.swapaxes(vd, -1, -2))
+        # rowsum(P * (g v^T)) == rowsum(g * out), a [T, dv] product
+        ds -= (g * data).sum(axis=-1, keepdims=True)
+        ds *= probs
+        dq = np.matmul(ds, kd)
+        dq *= scale
+        _accum(q, _unbroadcast(dq, qd.shape))
+        _accum(k, _unbroadcast(np.matmul(np.swapaxes(ds, -1, -2), qs), kd.shape))
+
+    return _make("attention", data, (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

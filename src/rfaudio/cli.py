@@ -477,7 +477,9 @@ def main(argv=None) -> int:
         args, extras = parser.parse_known_args(argv)
         overrides = _parse_override_tokens(extras)
         config = load_run_config(args.config, overrides)
-        return _DISPATCH[args.command](args, config)
+        # non-finite results surface as typed errors, so stderr stays one JSON line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _DISPATCH[args.command](args, config)
     except ConfigError as exc:
         return _fail("config", exc, EXIT_CONFIG)
     except DataError as exc:

@@ -90,17 +90,18 @@ class ModelConfig:
         return cls(**base)
 
 
-def time_features(t: float, dim: int) -> np.ndarray:
+def time_features(t, dim: int) -> np.ndarray:
     """Sinusoidal features ``[sin(t*w_i)..., cos(t*w_i)...]``.
 
     The ``dim // 2`` angular rates run geometrically from 1 to 1e4.  At
-    ``t = 0`` the sin half is all zeros and the cos half all ones.
+    ``t = 0`` the sin half is all zeros and the cos half all ones.  A
+    scalar ``t`` gives ``[dim]``; an array of times gives ``[..., dim]``.
     """
     if dim < 2 or dim % 2:
         raise ValueError(f"time feature dim must be even and >= 2, got {dim}")
     rates = np.geomspace(1.0, 1e4, dim // 2)
-    phase = float(t) * rates
-    return np.concatenate([np.sin(phase), np.cos(phase)])
+    phase = np.multiply.outer(np.asarray(t, dtype=np.float64), rates)
+    return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
 
 class TimeEmbedding:
@@ -127,7 +128,7 @@ class TimeEmbedding:
 
     def embed_batch(self, ts) -> Tensor:
         """Embed a vector of times into ``[len(ts), d_out]``."""
-        feats = np.stack([time_features(t, self.basis_dim) for t in np.atleast_1d(ts)])
+        feats = time_features(np.atleast_1d(ts), self.basis_dim)
         feats = Tensor(feats.astype(self.w1.data.dtype))
         h = gelu(add(matmul(feats, self.w1), self.b1))
         return add(matmul(h, self.w2), self.b2)

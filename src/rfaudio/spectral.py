@@ -206,8 +206,13 @@ def griffin_lim(
     for _ in range(iterations):
         x = istft(spec, cfg)
         re = _frame_stft(x.samples, cfg.n_fft, cfg.hop, _hann_periodic(cfg.n_fft))
-        trace.append(float(np.linalg.norm(np.abs(re) - mag)))
-        spec = mag * np.exp(1j * np.angle(re))
+        a = np.abs(re)
+        trace.append(float(np.linalg.norm(a - mag)))
+        # mag * re / |re| keeps the phase of re; a zero bin takes phase 0
+        dead = a == 0
+        re[dead] = 1.0
+        a[dead] = 1.0
+        spec = re * (mag / a)
     out = istft(spec, cfg)
     if return_trace:
         return out, trace

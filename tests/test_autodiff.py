@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rfaudio.autodiff import (
+    ATTENTION_BLOCK_ROWS,
     NonFiniteError,
     Tensor,
     concatenate,
@@ -15,9 +18,7 @@ from rfaudio.autodiff import (
     reshape,
     scaled_dot_product_attention,
     set_debug,
-    softmax,
     stack,
-    swap_last2,
     tmean,
     transpose,
     tsum,
@@ -46,13 +47,6 @@ class TestForward:
         c.backward(np.ones((1, 1)))
         assert a.grad[0, 0] == 3.0
         assert b.grad[0, 0] == 2.0
-
-    def test_softmax_uniform(self):
-        x = Tensor(np.zeros(7), requires_grad=True)
-        y = softmax(x)
-        assert np.allclose(y.data, 1 / 7)
-        tsum(y).backward()
-        assert np.allclose(x.grad, 0.0, atol=1e-12)
 
     def test_layer_norm_standardizes(self, rng):
         x = Tensor(rng.standard_normal((6, 9)) * 3 + 1, requires_grad=True)
@@ -104,10 +98,6 @@ class TestGradcheckOps:
             lambda ts: tsum(sq(transpose(reshape(ts[0], (6, 4)), (1, 0)))), [a]
         )
 
-    def test_swap_last2(self, rng):
-        a = t64(rng, 2, 3, 4)
-        assert_gradcheck(lambda ts: tsum(sq(swap_last2(ts[0])) * swap_last2(ts[0])), [a])
-
     @pytest.mark.parametrize("axis", [0, 1, -1])
     def test_concatenate(self, rng, axis):
         a = t64(rng, 2, 3)
@@ -123,11 +113,6 @@ class TestGradcheckOps:
     def test_reductions(self, rng, axis, keepdims):
         a = t64(rng, 3, 4)
         assert_gradcheck(lambda ts: tsum(sq(tmean(ts[0], axis, keepdims))), [a])
-
-    def test_softmax(self, rng):
-        a = t64(rng, 3, 5)
-        w = Tensor(rng.standard_normal((3, 5)))
-        assert_gradcheck(lambda ts: tsum(softmax(ts[0]) * w), [a])
 
     def test_layer_norm(self, rng):
         x = t64(rng, 4, 6)
@@ -175,6 +160,90 @@ class TestGradcheckOps:
             lambda ts: tsum(scaled_dot_product_attention(ts[0], ts[1], ts[2], mask)),
             [q, k, v],
         )
+
+
+def attention_reference(q, k, v, mask):
+    """softmax(q k^T / sqrt(dh) + mask) v in plain numpy, all rows at once."""
+    s = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1]) + mask
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)) @ v
+
+
+def attention_case(rng, T, mask_shape):
+    """float64 q, k, v and an additive mask with some disabled keys.
+
+    A ``[B, 1, 1, L]`` mask goes with 4-D ``[B, H, T, dh]`` inputs, a
+    ``[B, T, L]`` mask with 3-D ``[B, T, dh]`` inputs.
+    """
+    B, H, L, dh = 2, 3, 7, 4
+    lead = (B, H) if len(mask_shape) == 4 else (B,)
+    q, k, v = (t64(rng, *lead, n, dh) for n in (T, L, L))
+    mask = rng.standard_normal(mask_shape)
+    mask[rng.random(mask_shape) < 0.3] = -1e9
+    return q, k, v, mask
+
+
+ATTENTION_ROWS = [1, ATTENTION_BLOCK_ROWS, ATTENTION_BLOCK_ROWS + 1]
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("T", ATTENTION_ROWS)
+    @pytest.mark.parametrize("mask_kind", ["keys", "rows"])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_matches_numpy(self, rng, T, mask_kind, taped):
+        shape = (2, 1, 1, 7) if mask_kind == "keys" else (2, T, 7)
+        q, k, v, mask = attention_case(rng, T, shape)
+        want = attention_reference(q.data, k.data, v.data, mask)
+        if taped:
+            out = scaled_dot_product_attention(q, k, v, mask)
+            assert out.requires_grad
+        else:
+            with no_grad():
+                out = scaled_dot_product_attention(q, k, v, mask)
+            assert out._backward is None
+        assert out.data.shape == want.shape and out.data.dtype == np.float64
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("T", ATTENTION_ROWS[1:])
+    def test_directional_gradient_across_blocks(self, rng, T):
+        """Central difference along one random direction per input, at a
+        size too large for the coordinate-wise gradcheck."""
+        q, k, v, mask = attention_case(rng, T, (2, 1, 1, 7))
+        w = rng.standard_normal((2, 3, T, 4))
+        inputs = [q, k, v]
+
+        def f():
+            return tsum(scaled_dot_product_attention(q, k, v, mask) * Tensor(w))
+
+        f().backward()
+        eps = 1e-5
+        for t in inputs:
+            d = rng.standard_normal(t.data.shape)
+            base = t.data.copy()
+            with no_grad():
+                t.data = base + eps * d
+                plus = f().item()
+                t.data = base - eps * d
+                minus = f().item()
+            t.data = base
+            num = (plus - minus) / (2 * eps)
+            ana = float(np.sum(t.grad * d))
+            assert abs(ana - num) <= 1e-5 * max(abs(ana), abs(num))
+
+    def test_untaped_memory_is_one_block(self, rng):
+        """A 10 s clip's self-attention never holds its [1, 4, T, T] scores."""
+        B, H, T, dh = 1, 4, 1719, 16
+        q, k, v = (Tensor(rng.standard_normal((B, H, T, dh))) for _ in range(3))
+        score_bytes = B * H * T * T * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = scaled_dot_product_attention(q, k, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (B, H, T, dh)
+        assert peak < score_bytes / 4, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestBackwardExactness:

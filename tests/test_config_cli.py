@@ -1,11 +1,15 @@
 """Run-config loading/overrides and the batch command-line entry points."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rfaudio
 from rfaudio.audio import read_wav
 from rfaudio.cli import (
     EXIT_CONFIG,
@@ -352,6 +356,23 @@ class TestTrainCommand:
         assert out.read_bytes() == b"old checkpoint"
         assert not Path(str(out) + ".json").exists()
         assert not Path(str(out) + ".loss.csv").exists()
+
+    def test_overflow_stderr_is_one_json_line(self, tmp_path):
+        """In a fresh interpreter, where no test harness captures numpy's
+        overflow warnings, stderr holds only the JSON error."""
+        src = str(Path(rfaudio.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rfaudio.cli", "train", "--data", "toy",
+             "--out", str(tmp_path / "toy.ckpt"), "--steps", "1",
+             "--train.lr", "1e39", *TOY_MODEL_OVERRIDES],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_NUMERIC
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "numerical"
 
     def test_bad_steps(self, workspace, capsys):
         rc = main(["train", "--config", workspace["cfg"], "--data", "toy",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rfaudio.autodiff import Tensor, gradcheck, no_grad, tsum
+from rfaudio.autodiff import Tensor, add, gelu, gradcheck, matmul, no_grad, tsum
 from rfaudio.conditioning import (
     null_bundle,
 )
@@ -80,6 +80,18 @@ class TestTimeFeatures:
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError):
             time_features(0.5, 7)
+
+    def test_batch_matches_per_item_stack(self):
+        """The vectorised batch path is the per-item features, byte for byte."""
+        ts = np.concatenate([[0.0, 1.0, 1e-9], np.random.default_rng(3).random(844)])
+        for dim in (2, 8, 64):
+            want = np.stack([time_features(t, dim) for t in ts])
+            assert time_features(ts, dim).tobytes() == want.tobytes()
+        emb = TimeEmbedding(ParamStore(), 64, 5, np.random.default_rng(0))
+        feats = Tensor(want.astype(np.float32))
+        h = gelu(add(matmul(feats, emb.w1), emb.b1))
+        want_out = add(matmul(h, emb.w2), emb.b2).data
+        assert emb.embed_batch(ts).data.tobytes() == want_out.tobytes()
 
     def test_mlp_gradcheck(self):
         store = ParamStore()

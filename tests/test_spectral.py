@@ -183,6 +183,14 @@ class TestGriffinLim:
         out = griffin_lim(MelSpectrogram(cfg, frames), iterations=5)
         assert np.sqrt(np.mean(out.samples**2)) < 1e-3
 
+    def test_zero_magnitudes_give_exact_zeros(self):
+        """Every STFT bin is zero, so each one takes phase 0, not 0 / 0."""
+        cfg = MelConfig(sample_rate=8000, n_fft=256, hop=64, n_mels=40, log_floor=1.0)
+        frames = np.zeros((20, cfg.n_mels), dtype=np.float32)
+        out, trace = griffin_lim(MelSpectrogram(cfg, frames), iterations=3, return_trace=True)
+        assert np.all(out.samples == 0.0)
+        assert trace == [0.0, 0.0, 0.0]
+
     def test_more_iterations_improve_lsd(self, rng):
         cfg = CFG_SMALL
         buf = speechy_noise(rng, 4000, 8000)
