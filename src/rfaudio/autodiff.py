@@ -238,16 +238,31 @@ def mul(a, b):
     return _make("mul", data, parents, backward)
 
 
-def matmul(a: Tensor, b: Tensor):
-    data = np.matmul(a.data, b.data)
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None):
+    """``a @ b + bias`` for a ``[K, N]`` weight ``b`` and optional ``[N]`` bias, one tape op.
+
+    The leading axes of ``a`` are flattened, so the forward and both
+    backward products are single 2-D GEMMs: the weight gradient is
+    ``a2^T g2`` and the bias gradient a row sum.
+    """
+    ad, bd = a.data, b.data
+    if bd.ndim != 2:
+        raise ValueError(f"matmul needs a 2-D weight, got shape {bd.shape}")
+    a2 = ad.reshape(-1, ad.shape[-1])
+    data = a2 @ bd
+    if bias is not None:
+        data += bias.data
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        g2 = g.reshape(-1, g.shape[-1])
+        if a.requires_grad:
+            _accum(a, (g2 @ bd.T).reshape(ad.shape))
+        _accum(b, a2.T @ g2)
+        if bias is not None:
+            _accum(bias, g2.sum(axis=0))
 
-    return _make("matmul", data, (a, b), backward)
+    parents = (a, b) if bias is None else (a, b, bias)
+    return _make("matmul", data.reshape(ad.shape[:-1] + bd.shape[1:]), parents, backward)
 
 
 def reshape(a: Tensor, shape):
@@ -395,17 +410,37 @@ def depthwise_conv1d(a: Tensor, weight: Tensor):
 ATTENTION_BLOCK_ROWS = 128
 
 
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, mask=None):
-    """softmax(q k^T / sqrt(dh) + mask) v as one tape op.
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """``[..., T, H*d]`` to a ``[..., H, T, d]`` view."""
+    if heads == 1:
+        return x
+    if x.shape[-1] % heads:
+        raise ValueError(f"width {x.shape[-1]} is not divisible by {heads} heads")
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
 
-    q: [..., T, dh], k: [..., L, dh], v: [..., L, dv]. mask, when given, is
-    an additive constant array broadcastable to the score shape [..., T, L]
-    (use large negatives to disable positions). The forward runs over
-    blocks of ``ATTENTION_BLOCK_ROWS`` query rows, so without a tape it
-    never holds the whole score matrix; when the tape records, the softmax
+
+def _merge_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """``[..., H, T, d]`` to ``[..., T, H*d]``, the inverse of :func:`_split_heads`."""
+    if heads == 1:
+        return x
+    x = x.swapaxes(-2, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, heads: int = 1):
+    """softmax(q k^T / sqrt(dh) + mask) v per head, as one tape op.
+
+    q: [..., T, H*dh], k: [..., L, H*dh], v: [..., L, H*dv]; the output is
+    [..., T, H*dv]. The last axis of each input is split into ``heads``
+    heads and their outputs are merged back, so with ``heads == 1`` the
+    inputs are used as given. mask, when given, is an additive constant
+    array broadcastable to the per-head score shape [..., H, T, L] (use
+    large negatives to disable positions). The forward runs over blocks of
+    ``ATTENTION_BLOCK_ROWS`` query rows, so without a tape it never holds
+    the whole score matrix; when the tape records, the softmax
     probabilities are kept for the backward.
     """
-    qd, kd, vd = q.data, k.data, v.data
+    qd, kd, vd = (_split_heads(t.data, heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(qd.shape[-1])
     dtype = np.result_type(qd, kd, vd)
     batch = np.broadcast_shapes(qd.shape[:-2], kd.shape[:-2], vd.shape[:-2])
@@ -417,7 +452,7 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, mask=None):
     record = _GRAD_ENABLED[-1] and (q.requires_grad or k.requires_grad or v.requires_grad)
     # taped: every row's probabilities, kept for the backward; untaped: one block
     probs = np.empty(batch + (T if record else min(T, ATTENTION_BLOCK_ROWS), L), dtype=dtype)
-    data = np.empty(batch + (T, vd.shape[-1]), dtype=dtype)
+    per_head = np.empty(batch + (T, vd.shape[-1]), dtype=dtype)
     for r0 in range(0, T, ATTENTION_BLOCK_ROWS):
         rows = slice(r0, r0 + ATTENTION_BLOCK_ROWS)
         at = r0 if record else 0
@@ -429,23 +464,27 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, mask=None):
         np.exp(e, out=e)
         total = e.sum(axis=-1, keepdims=True)
         # normalising the [rows, dv] output is cheaper than the [rows, L] block
-        out = data[..., rows, :]
+        out = per_head[..., rows, :]
         np.matmul(e, vd, out=out)
         out /= total
         if record:
             e /= total
 
     def backward(g):
-        _accum(v, _unbroadcast(np.matmul(np.swapaxes(probs, -1, -2), g), vd.shape))
+        g = _split_heads(g, heads)
+        dv = _unbroadcast(np.matmul(np.swapaxes(probs, -1, -2), g), vd.shape)
+        _accum(v, _merge_heads(dv, heads))
         ds = np.matmul(g, np.swapaxes(vd, -1, -2))
         # rowsum(P * (g v^T)) == rowsum(g * out), a [T, dv] product
-        ds -= (g * data).sum(axis=-1, keepdims=True)
+        ds -= (g * per_head).sum(axis=-1, keepdims=True)
         ds *= probs
         dq = np.matmul(ds, kd)
         dq *= scale
-        _accum(q, _unbroadcast(dq, qd.shape))
-        _accum(k, _unbroadcast(np.matmul(np.swapaxes(ds, -1, -2), qs), kd.shape))
+        _accum(q, _merge_heads(_unbroadcast(dq, qd.shape), heads))
+        dk = _unbroadcast(np.matmul(np.swapaxes(ds, -1, -2), qs), kd.shape)
+        _accum(k, _merge_heads(dk, heads))
 
+    data = _merge_heads(per_head, heads)
     return _make("attention", data, (q, k, v), backward)
 
 

@@ -96,7 +96,8 @@ class Writer:
 
     def floats(self, arr) -> None:
         """Append ``arr`` as float32; raises if any value is not finite in float32."""
-        flat = np.ascontiguousarray(arr, dtype="<f4")
+        with np.errstate(over="ignore"):  # an overflow becomes inf, refused below
+            flat = np.ascontiguousarray(arr, dtype="<f4")
         if not np.isfinite(flat).all():
             raise FloatingPointError(f"{self.path}: refusing to write non-finite float32 values")
         self._chunks.append(flat.tobytes())
@@ -104,7 +105,7 @@ class Writer:
 
 def write_matrix(path, magic: bytes, matrix) -> None:
     """Write ``magic, u32 rows, u32 cols, float32 rows`` for a 2-D array."""
-    arr = np.ascontiguousarray(matrix, dtype="<f4")
+    arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise ValueError(f"{path}: expected a [rows, cols] matrix, got shape {arr.shape}")
     with Writer(path, magic) as w:

@@ -420,8 +420,8 @@ class TranscriptEncoder:
         for blk in self.blocks:
             h = add(depthwise_conv1d(x, blk["conv_w"]), blk["conv_b"])
             h = layer_norm(h, blk["ln_gain"], blk["ln_bias"])
-            h = gelu(add(matmul(h, blk["expand_w"]), blk["expand_b"]))
-            h = add(matmul(h, blk["project_w"]), blk["project_b"])
+            h = gelu(matmul(h, blk["expand_w"], blk["expand_b"]))
+            h = matmul(h, blk["project_w"], blk["project_b"])
             x = add(x, h)
         return FeatureSeq(x, np.ones(len(text), dtype=bool))
 
@@ -454,7 +454,7 @@ class SourceAdapter:
             raise ValueError(f"adapter expects width {self.d_in}, got {seq.width}")
         if seq.length == 0:
             return FeatureSeq.empty(self.d_out, dtype=self.w.data.dtype)
-        return FeatureSeq(add(matmul(seq.tokens, self.w), self.b), seq.validity.copy())
+        return FeatureSeq(matmul(seq.tokens, self.w, self.b), seq.validity.copy())
 
 
 def build_high_stream(mm: FeatureSeq, trans: FeatureSeq) -> FeatureSeq:

@@ -48,10 +48,10 @@ GUIDANCE_SCALE = 6.0
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or the updated weights stop being finite."""
 
-    def __init__(self, step: int, value: float) -> None:
-        super().__init__(f"non-finite loss {value} at step {step}")
+    def __init__(self, step: int, what: str) -> None:
+        super().__init__(f"{what} at step {step}")
         self.step = step
 
 
@@ -221,7 +221,8 @@ def train(
 
     ``dataset`` is an iterable of (x0, bundle) pairs; it is re-iterated
     when exhausted.  Deterministic given the seed and the dataset order.
-    A non-finite loss halts immediately with the failing step index.
+    A non-finite loss, or an update that leaves a weight non-finite, halts
+    immediately with the failing step index.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -235,7 +236,7 @@ def train(
         loss = rf_loss(batch, model, rng, opt.dropout_p)
         value = float(loss.data)
         if not np.isfinite(value):
-            raise TrainingDiverged(k, value)
+            raise TrainingDiverged(k, f"non-finite loss {value}")
         loss.backward()
         model.step += 1
         adamw_step(
@@ -247,6 +248,9 @@ def train(
             weight_decay=opt.weight_decay,
             eps=opt.eps,
         )
+        weights, _, _ = model.params.packed()
+        if not np.isfinite(weights).all():
+            raise TrainingDiverged(k, "non-finite weights after the update")
         losses.append(value)
         if opt.log_every and (k + 1) % opt.log_every == 0:
             recent = np.mean(losses[-opt.log_every :])

@@ -25,7 +25,6 @@ from .autodiff import (
     reshape,
     scaled_dot_product_attention,
     stack,
-    transpose,
 )
 from .conditioning import (
     Conditioner,
@@ -75,10 +74,6 @@ class ModelConfig:
     @property
     def d_low(self) -> int:
         return self.d_sync + self.d_mel
-
-    @property
-    def head_dim(self) -> int:
-        return self.width // self.heads
 
     @classmethod
     def full_scale(cls, **overrides) -> "ModelConfig":
@@ -130,8 +125,8 @@ class TimeEmbedding:
         """Embed a vector of times into ``[len(ts), d_out]``."""
         feats = time_features(np.atleast_1d(ts), self.basis_dim)
         feats = Tensor(feats.astype(self.w1.data.dtype))
-        h = gelu(add(matmul(feats, self.w1), self.b1))
-        return add(matmul(h, self.w2), self.b2)
+        h = gelu(matmul(feats, self.w1, self.b1))
+        return matmul(h, self.w2, self.b2)
 
 
 class FlowModel:
@@ -216,13 +211,6 @@ class FlowModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _heads(self, x: Tensor, B: int, T: int) -> Tensor:
-        cfg = self.config
-        return transpose(reshape(x, (B, T, cfg.heads, cfg.head_dim)), (0, 2, 1, 3))
-
-    def _merge(self, x: Tensor, B: int, T: int) -> Tensor:
-        return reshape(transpose(x, (0, 2, 1, 3)), (B, T, self.config.width))
-
     def _forward(
         self,
         x_t: Tensor,
@@ -253,12 +241,11 @@ class FlowModel:
 
         te = reshape(self.time_embed.embed_batch(t_vec), (B, 1, cfg.d_low))
         tokens = concatenate([x_t, add(low, te)], axis=-1)
-        x = add(matmul(tokens, self.in_w), self.in_b)
+        x = matmul(tokens, self.in_w, self.in_b)
 
         mask = None
         indicator = None
         if high_tokens is not None:
-            L = high_tokens.data.shape[1]
             if not high_valid.all():
                 mask = np.where(high_valid[:, None, None, :], 0.0, MASK_PENALTY)
                 mask = mask.astype(x.data.dtype)
@@ -270,35 +257,30 @@ class FlowModel:
 
         for blk in self.blocks:
             h = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
-            q = self._heads(add(matmul(h, blk["q_w"]), blk["q_b"]), B, T)
-            k = self._heads(add(matmul(h, blk["k_w"]), blk["k_b"]), B, T)
-            v = self._heads(add(matmul(h, blk["v_w"]), blk["v_b"]), B, T)
-            att = self._merge(scaled_dot_product_attention(q, k, v), B, T)
-            x = add(x, add(matmul(att, blk["o_w"]), blk["o_b"]))
+            q = matmul(h, blk["q_w"], blk["q_b"])
+            k = matmul(h, blk["k_w"], blk["k_b"])
+            v = matmul(h, blk["v_w"], blk["v_b"])
+            att = scaled_dot_product_attention(q, k, v, heads=cfg.heads)
+            x = add(x, matmul(att, blk["o_w"], blk["o_b"]))
 
             if high_tokens is not None:
                 h = layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-                q = self._heads(add(matmul(h, blk["cq_w"]), blk["cq_b"]), B, T)
-                L = high_tokens.data.shape[1]
-                ck = add(matmul(high_tokens, blk["ck_w"]), blk["ck_b"])
-                cv = add(matmul(high_tokens, blk["cv_w"]), blk["cv_b"])
-                ck = self._heads(ck, B, L)
-                cv = self._heads(cv, B, L)
-                att = self._merge(
-                    scaled_dot_product_attention(q, ck, cv, mask=mask), B, T
-                )
-                out = add(matmul(att, blk["co_w"]), blk["co_b"])
+                q = matmul(h, blk["cq_w"], blk["cq_b"])
+                ck = matmul(high_tokens, blk["ck_w"], blk["ck_b"])
+                cv = matmul(high_tokens, blk["cv_w"], blk["cv_b"])
+                att = scaled_dot_product_attention(q, ck, cv, mask=mask, heads=cfg.heads)
+                out = matmul(att, blk["co_w"], blk["co_b"])
                 if indicator is not None:
                     out = mul(out, indicator)
                 x = add(x, out)
 
             h = layer_norm(x, blk["ln3_g"], blk["ln3_b"])
-            h = gelu(add(matmul(h, blk["mlp_w1"]), blk["mlp_b1"]))
-            h = add(matmul(h, blk["mlp_w2"]), blk["mlp_b2"])
+            h = gelu(matmul(h, blk["mlp_w1"], blk["mlp_b1"]))
+            h = matmul(h, blk["mlp_w2"], blk["mlp_b2"])
             x = add(x, h)
 
         h = layer_norm(x, self.final_g, self.final_b)
-        return add(matmul(h, self.out_w), self.out_b)
+        return matmul(h, self.out_w, self.out_b)
 
 
 def dit_forward(x_t, t: float, bundle: ConditioningBundle, model: FlowModel) -> Tensor:

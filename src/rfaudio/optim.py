@@ -8,7 +8,7 @@ moment, second moment). Round-trips are bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,23 +25,18 @@ ADAM_WEIGHT_DECAY = 1e-3
 ADAM_EPS = 1e-8
 
 
-@dataclass
 class Parameter:
-    """A named trainable tensor with AdamW moment buffers."""
+    """A named trainable tensor with AdamW moment buffers ``m`` and ``v``.
 
-    name: str
-    tensor: Tensor
-    m: np.ndarray = field(default=None)  # type: ignore[assignment]
-    v: np.ndarray = field(default=None)  # type: ignore[assignment]
+    Once its store is packed (:meth:`ParamStore.packed`), ``data``, ``m`` and
+    ``v`` are views into the store's flat buffers, so write them in place.
+    """
 
-    def __post_init__(self) -> None:
-        self.tensor.requires_grad = True
-        if self.m is None:
-            self.m = np.zeros_like(self.tensor.data)
-        if self.v is None:
-            self.v = np.zeros_like(self.tensor.data)
-        if self.m.shape != self.tensor.data.shape or self.v.shape != self.tensor.data.shape:
-            raise ValueError(f"moment shape mismatch for parameter {self.name!r}")
+    def __init__(self, name: str, data: np.ndarray) -> None:
+        self.name = name
+        self.tensor = Tensor(data, requires_grad=True)
+        self.m = np.zeros_like(self.tensor.data)
+        self.v = np.zeros_like(self.tensor.data)
 
     @property
     def data(self) -> np.ndarray:
@@ -53,12 +48,14 @@ class ParamStore:
 
     def __init__(self) -> None:
         self._params: dict[str, Parameter] = {}
+        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._spans: list[tuple[Parameter, int, int]] = []  # (parameter, start, end)
 
     def create(self, name: str, data: np.ndarray) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, Tensor(data, requires_grad=True))
-        self._params[name] = p
+        p = self._params[name] = Parameter(name, data)
+        self._flat = None
         return p
 
     def __getitem__(self, name: str) -> Parameter:
@@ -83,44 +80,73 @@ class ParamStore:
     def n_scalars(self) -> int:
         return sum(p.data.size for p in self._params.values())
 
+    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flat ``(data, m, v)`` buffers of all parameters, in creation order.
+
+        The first call after a parameter is created copies every parameter's
+        arrays into new buffers (of the parameters' common dtype) and makes
+        them views of those, so the per-parameter copies are freed.
+        """
+        if self._flat is None:
+            plist = list(self)
+            self._flat = tuple(
+                np.concatenate([getattr(p, f).reshape(-1) for p in plist])
+                if plist else np.zeros(0, np.float32)
+                for f in ("data", "m", "v")
+            )
+            offsets = [0, *accumulate(p.data.size for p in plist)]
+            self._spans = list(zip(plist, offsets, offsets[1:]))
+            for p, lo, hi in self._spans:
+                p.tensor.data, p.m, p.v = [a[lo:hi].reshape(p.data.shape) for a in self._flat]
+        return self._flat
+
 
 def adamw_step(
-    params,
+    params: ParamStore,
     step_index: int,
     lr: float = ADAM_LR,
     beta1: float = ADAM_BETA1,
     beta2: float = ADAM_BETA2,
     weight_decay: float = ADAM_WEIGHT_DECAY,
     eps: float = ADAM_EPS,
-    grads: dict | None = None,
 ) -> None:
-    """One decoupled-weight-decay Adam step, in place.
+    """One decoupled-weight-decay Adam step, in place, over the packed buffers.
 
-    ``step_index`` starts at 1 (bias correction). Gradients default to each
+    ``step_index`` starts at 1 (bias correction). Gradients are each
     parameter's accumulated ``tensor.grad``; a missing gradient counts as
-    zero. Decay is applied directly to the parameter (p *= 1 - lr*wd), never
-    through the moments.
+    zero, and a non-finite one raises ``NonFiniteError`` before anything
+    changes. Decay is applied directly to the parameter (p *= 1 - lr*wd),
+    never through the moments. Every element sees the same float
+    operations in the same order as a per-parameter loop would apply.
     """
     if step_index < 1:
         raise ValueError("step_index starts at 1")
     bc1 = 1.0 - beta1**step_index
     bc2 = 1.0 - beta2**step_index
-    for p in params:
-        g = grads.get(p.name) if grads is not None else p.tensor.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.size and not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient for parameter {p.name!r}")
-        g = g.astype(p.data.dtype, copy=False)
-        p.m *= beta1
-        p.m += (1.0 - beta1) * g
-        p.v *= beta2
-        p.v += (1.0 - beta2) * (g * g)
-        m_hat = p.m / bc1
-        v_hat = p.v / bc2
-        p.tensor.data = p.data * (1.0 - lr * weight_decay) - lr * m_hat / (
-            np.sqrt(v_hat) + eps
-        )
+    data, m, v = params.packed()
+    g = np.zeros_like(data)
+    for p, lo, hi in params._spans:
+        if p.tensor.grad is not None:
+            g[lo:hi] = p.tensor.grad.reshape(-1)
+    if not np.isfinite(g).all():
+        name = next(p.name for p, lo, hi in params._spans if not np.isfinite(g[lo:hi]).all())
+        raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+    step = np.multiply(g, 1.0 - beta1)
+    m *= beta1
+    m += step
+    np.multiply(g, g, out=g)
+    g *= 1.0 - beta2
+    v *= beta2
+    v += g
+    # step = lr * m_hat / (sqrt(v_hat) + eps), reusing g for the denominator
+    np.divide(m, bc1, out=step)
+    step *= lr
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    step /= g
+    data *= 1.0 - lr * weight_decay
+    data -= step
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,16 @@ def op_gradcheck_cases(seed: int = 0):
          lambda xs: ad.tsum(ad.mul(
              ad.scaled_dot_product_attention(xs[0], xs[1], xs[2], mask=mask), w_at)),
          [_t(rng, 2, 2, 4, 3), _t(rng, 2, 2, 4, 3), _t(rng, 2, 2, 4, 3)])
+    w_mb = _const(rng, 2, 3, 2)
+    case("matmul_bias", lambda xs: ad.tsum(ad.mul(ad.matmul(xs[0], xs[1], xs[2]), w_mb)),
+         [_t(rng, 2, 3, 4), _t(rng, 4, 2), _t(rng, 2)])
+    key_mask = np.zeros((2, 1, 1, 4))
+    key_mask[0, ..., -1] = -1e9
+    w_ah = _const(rng, 2, 3, 4)
+    case("scaled_dot_product_attention_heads",
+         lambda xs: ad.tsum(ad.mul(ad.scaled_dot_product_attention(
+             xs[0], xs[1], xs[2], mask=key_mask, heads=2), w_ah)),
+         [_t(rng, 2, 3, 6), _t(rng, 2, 4, 6), _t(rng, 2, 4, 4)])
     return cases
 
 

@@ -230,6 +230,40 @@ class TestFusedAttention:
             ana = float(np.sum(t.grad * d))
             assert abs(ana - num) <= 1e-5 * max(abs(ana), abs(num))
 
+    @pytest.mark.parametrize("T", ATTENTION_ROWS)
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_heads_match_manual_split(self, rng, T, taped):
+        """heads=H on [B, T, H*dh] inputs equals splitting the heads with tape
+        ops, attending with heads=1 and merging them back."""
+        B, H, L, dh = 2, 3, 7, 4
+        q, k, v = (t64(rng, B, n, H * dh) for n in (T, L, L))
+        mask = np.where(rng.random((B, 1, 1, L)) < 0.3, -1e9, 0.0)
+        w = Tensor(rng.standard_normal((B, T, H * dh)))
+
+        def split(t, n):
+            return transpose(reshape(t, (B, n, H, dh)), (0, 2, 1, 3))
+
+        def attend(fused):
+            if fused:
+                return scaled_dot_product_attention(q, k, v, mask, heads=H)
+            out = scaled_dot_product_attention(split(q, T), split(k, L), split(v, L), mask)
+            return reshape(transpose(out, (0, 2, 1, 3)), (B, T, H * dh))
+
+        results = []
+        for fused in (True, False):
+            for t in (q, k, v):
+                t.zero_grad()
+            if taped:
+                out = attend(fused)
+                tsum(out * w).backward()
+                results.append([out.data, q.grad, k.grad, v.grad])
+            else:
+                with no_grad():
+                    results.append([attend(fused).data])
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
     def test_untaped_memory_is_one_block(self, rng):
         """A 10 s clip's self-attention never holds its [1, 4, T, T] scores."""
         B, H, T, dh = 1, 4, 1719, 16

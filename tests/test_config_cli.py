@@ -352,7 +352,7 @@ class TestTrainCommand:
                    "--train.lr", "1e39", *TOY_MODEL_OVERRIDES])
         err = json.loads(capsys.readouterr().err.strip())
         assert rc == EXIT_NUMERIC
-        assert err["error"] == "numerical" and str(out) in err["message"]
+        assert err["error"] == "numerical" and "at step 0" in err["message"]
         assert out.read_bytes() == b"old checkpoint"
         assert not Path(str(out) + ".json").exists()
         assert not Path(str(out) + ".loss.csv").exists()

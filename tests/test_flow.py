@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from rfaudio import autodiff
 from rfaudio.autodiff import Tensor
+from rfaudio.cli import ToyModesDataset, build_toy_model
 from rfaudio.conditioning import ConditioningBundle, FeatureSeq, FrameFeatures
 from rfaudio.flow import (
     CodecError,
@@ -23,6 +27,7 @@ from rfaudio.flow import (
     target_velocity,
     train,
 )
+from rfaudio.config import RunConfig
 from rfaudio.model import FlowModel, ModelConfig
 from rfaudio.spectral import MelConfig, MelSpectrogram
 
@@ -433,6 +438,25 @@ class TestTrain:
             train(model, dataset, 3, TrainConfig(batch_size=1, log_every=0), seed=0)
         assert info.value.step == 0
 
+    def test_toy_step_op_budget(self, monkeypatch):
+        """One training step of the acceptance-test toy model, batch 8,
+        records at most 140 tape ops."""
+        config = ModelConfig(
+            d_lat=2, d_mel=2, d_sync=1, d_mm=16, d_trans=16, d_high=64,
+            width=64, depth=4, heads=4, mlp_ratio=4, time_basis=64,
+        )
+        model = build_toy_model(replace(RunConfig(), model=config))
+        ops = []
+        make = autodiff._make
+
+        def counting(name, *args):
+            ops.append(name)
+            return make(name, *args)
+
+        monkeypatch.setattr(autodiff, "_make", counting)
+        train(model, ToyModesDataset(model), 1, TrainConfig(batch_size=8, log_every=0))
+        assert 0 < len(ops) <= 140, sorted(set(ops))
+
     def test_empty_dataset_rejected(self):
         model = FlowModel(TINY, seed=0)
         with pytest.raises(ValueError):
@@ -538,6 +562,34 @@ class TestSaveLoad:
             sample(model, bundle, (2, TINY.d_lat), sc),
             sample(loaded, bundle2, (2, TINY.d_lat), sc),
         )
+
+    def test_update_after_load_matches_saved_model(self, tmp_path):
+        """One more training step on the reloaded model equals the same step
+        on the model that was saved: weights, moments and step counter."""
+        model = FlowModel(TINY, seed=0, toy_vocab=["dog"])
+
+        def dataset(m):
+            data_rng = np.random.default_rng(3)
+            return [
+                (
+                    data_rng.standard_normal((2, TINY.d_lat)).astype(np.float32),
+                    m.conditioner.assemble(2, instruction="dog"),
+                )
+                for _ in range(3)
+            ]
+
+        opt = TrainConfig(batch_size=2, log_every=0)
+        train(model, dataset(model), 3, opt, seed=2)
+        path = tmp_path / "model.ckpt"
+        save_model(path, model, seed=0)
+        loaded, _, _ = load_model(path)
+        train(model, dataset(model), 1, opt, seed=7)
+        train(loaded, dataset(loaded), 1, opt, seed=7)
+        assert loaded.step == model.step == 4
+        for p in model.params:
+            q = loaded.params[p.name]
+            for got, want in ((q.data, p.data), (q.m, p.m), (q.v, p.v)):
+                assert np.array_equal(got, want), p.name
 
     def test_sidecar_content(self, tmp_path, rng):
         model = FlowModel(TINY, seed=0)

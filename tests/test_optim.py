@@ -3,6 +3,8 @@ import pytest
 
 from rfaudio.autodiff import NonFiniteError
 from rfaudio.optim import (
+    ADAM_EPS,
+    ADAM_WEIGHT_DECAY,
     ParamStore,
     adamw_step,
     load_checkpoint,
@@ -64,6 +66,32 @@ class TestAdamW:
         store["p0"].tensor.grad = np.array([1.0, np.nan, 0.0], dtype=np.float32)
         with pytest.raises(NonFiniteError, match="p0"):
             adamw_step(store, step_index=1)
+
+    def test_flat_update_matches_per_parameter_loop(self, rng):
+        """The packed update is bit-identical to AdamW applied one parameter
+        at a time, including a parameter that never gets a gradient."""
+        lr, beta1, beta2 = 1e-3, 0.9, 0.999
+        store = make_store(rng, [(6, 3), (5,), (2, 2, 2), (4,)])
+        ref = {p.name: [p.data.copy(), p.m.copy(), p.v.copy()] for p in store}
+        for step in range(1, 31):
+            bc1, bc2 = 1.0 - beta1**step, 1.0 - beta2**step
+            for p in store:
+                g = None if p.name == "p1" else rng.standard_normal(p.data.shape)
+                p.tensor.grad = None if g is None else g.astype(np.float32)
+                data, m, v = ref[p.name]
+                g = np.zeros_like(data) if g is None else g.astype(np.float32)
+                m *= beta1
+                m += (1.0 - beta1) * g
+                v *= beta2
+                v += (1.0 - beta2) * (g * g)
+                ref[p.name][0] = data * (1.0 - lr * ADAM_WEIGHT_DECAY) - lr * (m / bc1) / (
+                    np.sqrt(v / bc2) + ADAM_EPS
+                )
+            adamw_step(store, step_index=step, lr=lr, beta1=beta1, beta2=beta2)
+            for p in store:
+                for got, want in zip((p.data, p.m, p.v), ref[p.name]):
+                    assert got.dtype == np.float32
+                    assert np.array_equal(got, want), (p.name, step)
 
     def test_step_index_starts_at_one(self, rng):
         store = make_store(rng, [(2,)])
