@@ -1,16 +1,16 @@
 """Tests for the flow objective, trainer, sampler, and latent codec."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from rfaudio import autodiff
 from rfaudio.autodiff import Tensor
 from rfaudio.cli import ToyModesDataset, build_toy_model
 from rfaudio.conditioning import ConditioningBundle, FeatureSeq, FrameFeatures
+from rfaudio.config import RunConfig
 from rfaudio.flow import (
     CodecError,
     LatentCodec,
@@ -27,7 +27,6 @@ from rfaudio.flow import (
     target_velocity,
     train,
 )
-from rfaudio.config import RunConfig
 from rfaudio.model import FlowModel, ModelConfig
 from rfaudio.spectral import MelConfig, MelSpectrogram
 
