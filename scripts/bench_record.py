@@ -1,7 +1,7 @@
 """Record one workload's benchmark trajectory point as BENCH_<workload>.json.
 
-Runs ``benchmarks/run.py --trace 0`` several times on the current tree, one
-seed per run, and writes ``BENCH_<workload>.json`` at the repository root:
+Runs ``benchmarks/run.py --trace 0`` several times on the current tree, for
+the benchmark's run length and with seeds 1, 2, ..., and writes ``BENCH_<workload>.json`` at the repository root:
 the commit, the host's CPU count, the Python and numpy versions, and for
 each end-to-end metric of ``BENCHMARK.json`` its median and quartiles over
 the runs (plus the raw values). Later changes compare against these files
@@ -59,18 +59,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output path (default: BENCH_<workload>.json at the repo root)")
     args = parser.parse_args(argv)
-    if args.runs < 1 or args.seconds <= 0 or args.first_seed < 0:
-        parser.error("--runs must be >= 1, --seconds positive, --first-seed >= 0")
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
 
-    seeds = list(range(args.first_seed, args.first_seed + args.runs))
+    seconds, seeds = spec["run_seconds"], list(range(1, args.runs + 1))
     results = []
     for seed in seeds:
-        result = run_once(args.workload, seed, args.seconds)
+        result = run_once(args.workload, seed, seconds)
         if result is not None:
             results.append(result)
             summary = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
@@ -94,12 +90,12 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": seeds,
         "failed_runs": len(seeds) - len(results),
         "metrics": metrics,
     }
-    out = args.out or ROOT / f"BENCH_{args.workload}.json"
+    out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}")
     return 0 if len(results) == len(seeds) else 1

@@ -230,6 +230,8 @@ def train(
     rng = np.random.default_rng(seed)
     batches = _batch_iter(dataset, opt.batch_size)
     losses: list[float] = []
+    # pack before the first tape, so its allocations reuse the freed per-parameter arrays
+    model.params.packed()
     for k in range(steps):
         batch = next(batches)
         model.params.zero_grads()
@@ -248,8 +250,7 @@ def train(
             weight_decay=opt.weight_decay,
             eps=opt.eps,
         )
-        weights, _, _ = model.params.packed()
-        if not np.isfinite(weights).all():
+        if not model.params.all_finite():
             raise TrainingDiverged(k, "non-finite weights after the update")
         losses.append(value)
         if opt.log_every and (k + 1) % opt.log_every == 0:

@@ -100,6 +100,25 @@ class ParamStore:
                 p.tensor.data, p.m, p.v = [a[lo:hi].reshape(p.data.shape) for a in self._flat]
         return self._flat
 
+    def flat_grad(self) -> np.ndarray:
+        """Every parameter's ``tensor.grad`` in one new flat array laid out as
+        :meth:`packed`, zero where a parameter has none.
+
+        A non-finite gradient raises ``NonFiniteError`` naming its parameter.
+        """
+        g = np.zeros_like(self.packed()[0])
+        for p, lo, hi in self._spans:
+            if p.tensor.grad is not None:
+                g[lo:hi] = p.tensor.grad.reshape(-1)
+        if not np.isfinite(g).all():
+            name = next(p.name for p, lo, hi in self._spans if not np.isfinite(g[lo:hi]).all())
+            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+        return g
+
+    def all_finite(self) -> bool:
+        """Whether every parameter value is finite (one check over the flat buffer)."""
+        return bool(np.isfinite(self.packed()[0]).all())
+
 
 def adamw_step(
     params: ParamStore,
@@ -112,9 +131,8 @@ def adamw_step(
 ) -> None:
     """One decoupled-weight-decay Adam step, in place, over the packed buffers.
 
-    ``step_index`` starts at 1 (bias correction). Gradients are each
-    parameter's accumulated ``tensor.grad``; a missing gradient counts as
-    zero, and a non-finite one raises ``NonFiniteError`` before anything
+    ``step_index`` starts at 1 (bias correction). Gradients come from
+    :meth:`ParamStore.flat_grad`, so a non-finite one raises before anything
     changes. Decay is applied directly to the parameter (p *= 1 - lr*wd),
     never through the moments. Every element sees the same float
     operations in the same order as a per-parameter loop would apply.
@@ -124,13 +142,7 @@ def adamw_step(
     bc1 = 1.0 - beta1**step_index
     bc2 = 1.0 - beta2**step_index
     data, m, v = params.packed()
-    g = np.zeros_like(data)
-    for p, lo, hi in params._spans:
-        if p.tensor.grad is not None:
-            g[lo:hi] = p.tensor.grad.reshape(-1)
-    if not np.isfinite(g).all():
-        name = next(p.name for p, lo, hi in params._spans if not np.isfinite(g[lo:hi]).all())
-        raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+    g = params.flat_grad()
     step = np.multiply(g, 1.0 - beta1)
     m *= beta1
     m += step

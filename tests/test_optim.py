@@ -93,6 +93,16 @@ class TestAdamW:
                     assert got.dtype == np.float32
                     assert np.array_equal(got, want), (p.name, step)
 
+    def test_flat_grad_layout_and_all_finite(self, rng):
+        store = make_store(rng, [(2, 3), (4,)])
+        store["p1"].tensor.grad = np.arange(4, dtype=np.float32)
+        g = store.flat_grad()
+        assert g.shape == (10,)
+        assert not g[:6].any() and np.array_equal(g[6:], np.arange(4))
+        assert store.all_finite()
+        store["p0"].data[1, 2] = np.inf
+        assert not store.all_finite()
+
     def test_step_index_starts_at_one(self, rng):
         store = make_store(rng, [(2,)])
         with pytest.raises(ValueError):
