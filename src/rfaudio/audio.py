@@ -28,6 +28,9 @@ SESSION_RATE = 44100
 VOCODER_N_FFT = 1024
 VOCODER_HOP = 256
 RESAMPLER_TAPS = 32
+#: output samples per block in the resampler; each output sample is computed
+#: by the same arithmetic whatever the block, so the size changes no result
+RESAMPLER_BLOCK_ROWS = 4096
 
 
 class WavError(ValueError):
@@ -203,18 +206,23 @@ def _sinc_interpolate(x: np.ndarray, positions: np.ndarray, ratio: float) -> np.
     """Evaluate x at fractional sample ``positions`` with a windowed sinc.
 
     ``ratio`` is input samples per output sample; for ratio > 1 (decimation)
-    the kernel cutoff drops to 1/ratio for anti-aliasing.
+    the kernel cutoff drops to 1/ratio for anti-aliasing. Output positions
+    are taken ``RESAMPLER_BLOCK_ROWS`` at a time, so the scratch is a few
+    ``[RESAMPLER_BLOCK_ROWS, RESAMPLER_TAPS]`` matrices whatever the length.
     """
     half = RESAMPLER_TAPS // 2
     cutoff = min(1.0, 1.0 / ratio)
     pad = np.pad(x, half)
-    base = np.floor(positions).astype(np.int64)
     offsets = np.arange(-half + 1, half + 1)  # 32 taps around each position
-    idx = base[:, None] + offsets[None, :]
-    u = positions[:, None] - idx
-    taper = 0.5 + 0.5 * np.cos(np.pi * u / half)  # Hann taper over the support
-    kernel = cutoff * np.sinc(cutoff * u) * taper
-    return np.einsum("ij,ij->i", pad[idx + half], kernel)
+    out = np.empty(positions.size)
+    for r0 in range(0, positions.size, RESAMPLER_BLOCK_ROWS):
+        block = positions[r0 : r0 + RESAMPLER_BLOCK_ROWS]
+        idx = np.floor(block).astype(np.int64)[:, None] + offsets[None, :]
+        u = block[:, None] - idx
+        taper = 0.5 + 0.5 * np.cos(np.pi * u / half)  # Hann taper over the support
+        kernel = cutoff * np.sinc(cutoff * u) * taper
+        out[r0 : r0 + block.size] = np.einsum("ij,ij->i", pad[idx + half], kernel)
+    return out
 
 
 def resample_to_length(x: np.ndarray, out_len: int) -> np.ndarray:

@@ -121,6 +121,8 @@ class Tensor:
             if id(node) in seen:
                 continue
             seen.add(id(node))
+            if node._backward is not None:
+                node.grad = None  # a gradient left by an earlier backward is spent
             work.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -569,6 +570,7 @@ def filter_pipeline(
     A triplet is charged to the first stage that rejects it; later stages
     never see it. Returns the kept triplets (original order) and a rejection
     count per stage, including zero counts for stages that rejected nothing.
+    Each rejection is logged; the kept/rejected summary is the caller's.
     """
     if stages is None:
         stages = default_stages()
@@ -577,9 +579,7 @@ def filter_pipeline(
         raise ValueError(f"stage names must be unique, got {names}")
     rejected = {name: 0 for name in names}
     kept: list[EditTriplet] = []
-    total = 0
     for triplet in candidates:
-        total += 1
         for name, keep in stages:
             if not keep(triplet):
                 rejected[name] += 1
@@ -587,11 +587,6 @@ def filter_pipeline(
                 break
         else:
             kept.append(triplet)
-    if total:
-        log.info(
-            "filter: kept %d/%d (%.1f%%); rejections %s",
-            len(kept), total, 100.0 * len(kept) / total, rejected,
-        )
     return FilterReport(kept, rejected)
 
 
@@ -641,7 +636,9 @@ def write_manifest(triplets: Sequence[EditTriplet], root, config: dict | None = 
     """Serialize the manifest (items ordered by id) to ``root/manifest.json``.
 
     ``config`` optionally embeds the fully resolved run configuration so the
-    dataset records how it was produced.
+    dataset records how it was produced. The file is written under a
+    temporary name in ``root`` and renamed into place, so a reader sees
+    either no manifest or a complete one.
     """
     ids = [t.id for t in triplets]
     if len(set(ids)) != len(ids):
@@ -652,7 +649,9 @@ def write_manifest(triplets: Sequence[EditTriplet], root, config: dict | None = 
     if config is not None:
         payload["config"] = config
     path = Path(root) / MANIFEST_NAME
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    partial = path.with_name(f".{MANIFEST_NAME}.partial")
+    partial.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    os.replace(partial, path)
     return path
 
 
@@ -783,38 +782,52 @@ def forge_corpus(
     and libraries are bit-identical and runs with different seeds diverge.
     Items are mutually independent, so the per-item loop is trivially
     parallelizable; generation runs single-process to keep outputs
-    reproducible everywhere. Returns the manifest path plus per-task
-    generated/kept/rejected counts. ``echo`` is embedded in the manifest.
+    reproducible everywhere. Forging streams: each triplet is built, screened by the filter stages,
+    written at once if kept, and then stripped to its manifest fields, so
+    one triplet's audio is in memory at a time whatever the corpus size.
+    The manifest is written last and is the corpus's commit marker: an
+    existing ``root/manifest.json`` is deleted before the first WAV is
+    written, so a run that fails leaves no manifest. Returns the manifest
+    path plus per-task generated/kept/rejected counts. ``echo`` is embedded
+    in the manifest.
     """
     if config is None:
         config = ForgeConfig()
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
+    (root / MANIFEST_NAME).unlink(missing_ok=True)
+    stages = default_stages(config.vad_threshold)
 
     kept_all: list[EditTriplet] = []
     counts: dict = {}
     for task_index, task in enumerate(config.tasks):
-        candidates = []
+        rejected = {name: 0 for name, _ in stages}
+        kept_before = len(kept_all)
         for i in range(config.items_per_task):
             rng = np.random.default_rng([config.seed, task_index, i])
             scene = draw_scene(rng, library, config)
             event_index = int(rng.integers(config.events_per_scene))
-            candidates.append(
-                make_triplet(
-                    task, scene, library, event_index,
-                    triplet_id=f"{task}-{config.seed}-{i:06d}",
-                )
+            triplet = make_triplet(
+                task, scene, library, event_index,
+                triplet_id=f"{task}-{config.seed}-{i:06d}",
             )
-        report = filter_pipeline(candidates, default_stages(config.vad_threshold))
+            report = filter_pipeline([triplet], stages)
+            for name, n in report.rejected.items():
+                rejected[name] += n
+            if report.kept:
+                write_triplet_audio(triplet, root, wav_format=config.wav_format)
+                kept_all.append(triplet)
+            triplet.source_audio = triplet.target_audio = triplet.event_stem = None
         counts[task] = {
-            "generated": len(candidates),
-            "kept": len(report.kept),
-            "rejected": dict(report.rejected),
+            "generated": config.items_per_task,
+            "kept": len(kept_all) - kept_before,
+            "rejected": rejected,
         }
-        kept_all.extend(report.kept)
+        log.info(
+            "filter: %s kept %d/%d; rejections %s",
+            task, counts[task]["kept"], config.items_per_task, rejected,
+        )
 
-    for triplet in kept_all:
-        write_triplet_audio(triplet, root, wav_format=config.wav_format)
     manifest_path = write_manifest(kept_all, root, config=echo)
     log.info("forged %d triplets into %s", len(kept_all), root)
     return ForgeSummary(manifest_path, counts)

@@ -1,10 +1,13 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rfaudio.audio import (
+    RESAMPLER_BLOCK_ROWS,
+    RESAMPLER_TAPS,
     AudioBuffer,
     TruncatedWavError,
     UnsupportedWavError,
@@ -211,6 +214,15 @@ class TestVad:
         assert vad_activity_ratio(AudioBuffer(np.zeros(0), 8000)) == 0.0
 
 
+BLOCK_EDGE_LENGTHS = [
+    1,
+    RESAMPLER_BLOCK_ROWS - 1,
+    RESAMPLER_BLOCK_ROWS,
+    RESAMPLER_BLOCK_ROWS + 1,
+    3 * RESAMPLER_BLOCK_ROWS + 17,
+]
+
+
 class TestResample:
     def test_identity_rate(self, rng):
         buf = AudioBuffer(rng.uniform(-0.5, 0.5, 1000), 8000)
@@ -228,6 +240,42 @@ class TestResample:
     def test_resample_to_length_identity(self, rng):
         x = rng.uniform(-0.5, 0.5, 500)
         assert np.array_equal(resample_to_length(x, 500), x)
+
+    @pytest.mark.parametrize("n_in, out_len", [
+        (2 * n + 3, n) for n in BLOCK_EDGE_LENGTHS            # downsampling
+    ] + [
+        ((n + 2) // 3, n) for n in BLOCK_EDGE_LENGTHS[1:]     # upsampling
+    ])
+    def test_blocked_matches_unblocked_formula(self, rng, n_in, out_len):
+        """Blocking the output rows changes no sample of the result, bit for bit."""
+        x = rng.uniform(-0.5, 0.5, n_in)
+        assert np.array_equal(resample_to_length(x, out_len), unblocked_resample(x, out_len))
+
+    def test_memory_does_not_grow_with_length(self, rng):
+        """10 s at 44.1 kHz down to 40 kHz; all [n_out, taps] matrices at once need ~690 MB."""
+        x = rng.uniform(-0.5, 0.5, 441000)
+        tracemalloc.start()
+        try:
+            out = resample_to_length(x, 400000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (400000,)
+        assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def unblocked_resample(x, out_len):
+    """The windowed-sinc formula over every output position at once."""
+    ratio = x.size / out_len
+    positions = np.arange(out_len, dtype=np.float64) * ratio
+    half = RESAMPLER_TAPS // 2
+    cutoff = min(1.0, 1.0 / ratio)
+    pad = np.pad(x, half)
+    idx = np.floor(positions).astype(np.int64)[:, None] + np.arange(-half + 1, half + 1)
+    u = positions[:, None] - idx
+    taper = 0.5 + 0.5 * np.cos(np.pi * u / half)
+    kernel = cutoff * np.sinc(cutoff * u) * taper
+    return np.einsum("ij,ij->i", pad[idx + half], kernel)
 
 
 class TestVocoder:

@@ -1,6 +1,8 @@
 """Tests for the edit-triplet forge: specs, composition, filtering, manifests."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from rfaudio.dataforge import (
     write_triplet_audio,
 )
 from rfaudio.audio import write_wav
+from rfaudio.cli import EXIT_DATA, main
 
 RATE = 8000
 LIB = SyntheticLibrary(sample_rate=RATE, clip_seconds=0.5, background_seconds=2.0, seed=3)
@@ -617,6 +620,63 @@ class TestForgeCorpus:
                           events_per_scene=2, tasks=("remove",))
         summary = forge_corpus(LIB, tmp_path, cfg)
         assert summary.counts["remove"]["generated"] == 1
+
+    def test_everything_rejected_writes_empty_manifest(self, tmp_path):
+        class GappyLibrary(SyntheticLibrary):
+            """Every event clip is silent in its middle half."""
+
+            def resolve(self, clip_id):
+                clip = super().resolve(clip_id)
+                if not clip_id.startswith("background/"):
+                    clip.samples[len(clip) // 4 : 3 * len(clip) // 4] = 0.0
+                return clip
+
+        gappy = GappyLibrary(sample_rate=RATE, clip_seconds=1.0, background_seconds=2.0, seed=3)
+        summary = forge_corpus(gappy, tmp_path, replace(TINY, vad_threshold=1.0))
+        assert load_manifest(summary.manifest_path)["items"] == []
+        assert not list(tmp_path.rglob("*.wav"))
+        for task in TASKS:
+            assert summary.counts[task] == {
+                "generated": 3, "kept": 0, "rejected": {"vad": 3, "semantic": 0},
+            }
+
+    def test_failed_run_leaves_no_manifest(self, tmp_path, capsys):
+        """The manifest commits a corpus: a run that fails part-way removes the old one."""
+        forge_corpus(LIB, tmp_path, TINY)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["audio", "manifest.json"]
+
+        class FailsOnSecondTriplet(SyntheticLibrary):
+            backgrounds = 0
+
+            def resolve(self, clip_id):
+                if clip_id.startswith("background/"):
+                    self.backgrounds += 1
+                    if self.backgrounds == 2:
+                        raise OSError("clip store went away")
+                return super().resolve(clip_id)
+
+        failing = FailsOnSecondTriplet(sample_rate=RATE, clip_seconds=0.5,
+                                       background_seconds=2.0, seed=3)
+        with pytest.raises(OSError):
+            forge_corpus(failing, tmp_path, TINY)
+        assert not (tmp_path / "manifest.json").exists()
+        assert main(["eval", "--manifest", str(tmp_path)]) == EXIT_DATA
+        capsys.readouterr()
+
+    def test_memory_does_not_grow_with_corpus(self, tmp_path):
+        """Three times the triplets, about the same peak: audio is written as it is made."""
+        library = SyntheticLibrary(sample_rate=44100, clip_seconds=1.0,
+                                   background_seconds=4.0, seed=0)
+        peaks = {}
+        for items in (2, 6):
+            tracemalloc.start()
+            try:
+                forge_corpus(library, tmp_path / str(items),
+                             ForgeConfig(items_per_task=items, duration_s=4.0, seed=5))
+                peaks[items] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6] <= 1.25 * peaks[2], {k: f"{v / 2**20:.1f} MB" for k, v in peaks.items()}
 
     def test_draw_scene_uses_library_backgrounds(self):
         rng = np.random.default_rng(0)

@@ -370,6 +370,24 @@ class TestRfLoss:
         with pytest.raises(ValueError):
             rf_loss([(bad, model.conditioner.assemble(2))], model, rng)
 
+    def test_reused_bundle_gets_fresh_gradients(self):
+        """A bundle reused across steps carries no gradient from the last backward."""
+        model = FlowModel(TINY, seed=0, toy_vocab=["dog"])
+        model.out_w.data[...] = np.random.default_rng(4).standard_normal(model.out_w.shape)
+        bundle = model.conditioner.assemble(2, instruction="dog")
+        x0 = np.random.default_rng(6).standard_normal((2, TINY.d_lat)).astype(np.float32)
+        grads = []
+        for _ in range(2):
+            model.params.zero_grads()
+            rf_loss([(x0, bundle)], model, np.random.default_rng(5), dropout_p=0.0).backward()
+            grads.append({p.name: p.tensor.grad.copy() for p in model.params
+                          if p.tensor.grad is not None})
+        assert grads[0].keys() == grads[1].keys()
+        assert np.any(grads[0]["mm_toy.table"] != 0.0)
+        assert np.any(grads[0]["cond.mm_adapter.w"] != 0.0)
+        for name, first in grads[0].items():
+            np.testing.assert_array_equal(grads[1][name], first, err_msg=name)
+
     def test_gradients_populated(self, rng):
         model = FlowModel(TINY, seed=0)
         loss = rf_loss(self.make_batch(model, rng, 2), model, rng, dropout_p=0.0)
