@@ -21,9 +21,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-SESSION_RATE = 44100
-
-# phase-vocoder / resampler framing defaults; small transforms reuse these
+# phase-vocoder / resampler framing; small transforms use these
 # rather than the mel front-end config so audio.py stays self-contained.
 VOCODER_N_FFT = 1024
 VOCODER_HOP = 256
@@ -360,12 +358,7 @@ def _overlap_add(frames_c: np.ndarray, n_fft: int, hop: int, window: np.ndarray)
     return acc
 
 
-def time_stretch(
-    buffer: AudioBuffer,
-    factor: float,
-    n_fft: int = VOCODER_N_FFT,
-    hop: int = VOCODER_HOP,
-) -> AudioBuffer:
+def time_stretch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     """Stretch duration by ``factor`` (>1 = longer) at constant pitch.
 
     Phase-vocoder with fractional analysis positions: magnitudes are
@@ -377,6 +370,7 @@ def time_stretch(
     """
     if factor <= 0:
         raise ValueError("stretch factor must be positive")
+    n_fft, hop = VOCODER_N_FFT, VOCODER_HOP
     x = buffer.samples
     if x.size < n_fft:
         raise ValueError(f"buffer too short for the vocoder frame ({x.size} < {n_fft})")
@@ -414,12 +408,7 @@ def time_stretch(
     return AudioBuffer(out[:target_len], buffer.sample_rate)
 
 
-def pitch_shift(
-    buffer: AudioBuffer,
-    semitones: float,
-    n_fft: int = VOCODER_N_FFT,
-    hop: int = VOCODER_HOP,
-) -> AudioBuffer:
+def pitch_shift(buffer: AudioBuffer, semitones: float) -> AudioBuffer:
     """Shift pitch by ``semitones`` at constant duration.
 
     Realized as time_stretch by r = 2^(semitones/12) followed by band-limited
@@ -433,6 +422,6 @@ def pitch_shift(
     elif abs(semitones) > 3:
         log.info("pitch_shift: %+.2f semitones is outside the forge default range", semitones)
     rate = 2.0 ** (semitones / 12.0)
-    stretched = time_stretch(buffer, rate, n_fft=n_fft, hop=hop)
+    stretched = time_stretch(buffer, rate)
     out = resample_to_length(stretched.samples, len(buffer))
     return AudioBuffer(out, buffer.sample_rate)

@@ -1,4 +1,4 @@
-"""The binary layout shared by rfaudio's checkpoint, feature and mel files.
+"""The binary layout shared by rfaudio's checkpoint and feature files.
 
 Each file is an 8-byte magic, then little-endian struct fields and float32
 payloads in the order its format lists them. :class:`Reader` is strict: a
@@ -101,21 +101,3 @@ class Writer:
         if not np.isfinite(flat).all():
             raise FloatingPointError(f"{self.path}: refusing to write non-finite float32 values")
         self._chunks.append(flat.tobytes())
-
-
-def write_matrix(path, magic: bytes, matrix) -> None:
-    """Write ``magic, u32 rows, u32 cols, float32 rows`` for a 2-D array."""
-    arr = np.asarray(matrix)
-    if arr.ndim != 2:
-        raise ValueError(f"{path}: expected a [rows, cols] matrix, got shape {arr.shape}")
-    with Writer(path, magic) as w:
-        w.fields("<II", *arr.shape)
-        w.floats(arr)
-
-
-def read_matrix(path, magic: bytes, what: str, error: type[Exception] = ValueError) -> np.ndarray:
-    """Read a file written by :func:`write_matrix` as a float32 ``[rows, cols]`` array."""
-    r = Reader(path, magic, what, error)
-    arr = r.floats(r.fields("<II"))
-    r.end()
-    return arr

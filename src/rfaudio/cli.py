@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -183,8 +184,6 @@ def _cmd_forge(args, config: RunConfig) -> int:
         else config.forge.items_per_task
     )
     items = int(round(base_items * args.scale))
-    if items < 0:
-        raise ConfigError(f"--scale {args.scale} yields a negative item count")
     forge_config = replace(config.forge, items_per_task=items, seed=config.seed)
     if args.library is not None:
         library = FolderLibrary(args.library)
@@ -207,8 +206,6 @@ def _cmd_forge(args, config: RunConfig) -> int:
 
 
 def _cmd_train(args, config: RunConfig) -> int:
-    if args.steps < 1:
-        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     if args.data == "toy":
         model = build_toy_model(config)
         dataset = ToyModesDataset(model, seed=config.seed)
@@ -320,8 +317,8 @@ def _metric_report(mels_a, mels_b, pairs) -> dict:
         raise DataError("need at least 2 clips per side for distribution metrics")
     emb_a = np.stack([mel_summary_embedding(m) for m in mels_a])
     emb_b = np.stack([mel_summary_embedding(m) for m in mels_b])
-    stats_a = embed_stats(mels_a)
-    stats_b = embed_stats(mels_b)
+    stats_a = embed_stats(emb_a, embedder=np.asarray)
+    stats_b = embed_stats(emb_b, embedder=np.asarray)
     lsd_values = []
     for a, b in pairs:
         if a.frames.shape != b.frames.shape:
@@ -379,6 +376,27 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _checked(kind, accept, what: str):
+    """An argparse ``type=`` that parses ``kind`` and rejects values failing ``accept``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+# comparisons with NaN are false, so these also refuse nan
+_SCALE = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_SECONDS = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def _parse_override_tokens(tokens: list[str]) -> list[tuple[str, str]]:
     """Leftover ``--dotted.key value`` tokens -> (key, value) pairs."""
     pairs = []
@@ -412,7 +430,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("forge", parents=[common], help="generate an editing corpus")
     p.add_argument("--root", default=None, help="output dataset root")
     p.add_argument("--preset", choices=("desk", "full-scale"), default="desk")
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=_SCALE, default=1.0,
                    help="multiplier on the preset's items per task")
     p.add_argument("--library", default=None,
                    help="clip library root (default: bundled synthetic clips)")
@@ -421,7 +439,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True,
                    help="'toy' or a forged dataset root containing manifest.json")
     p.add_argument("--out", default=None, help="checkpoint path")
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_COUNT, default=100)
     p.add_argument("--loss-csv", default=None, help="loss trace path (step,loss)")
 
     p = sub.add_parser("sample", parents=[common], help="sample audio from a checkpoint")
@@ -430,10 +448,10 @@ def build_parser() -> _Parser:
     p.add_argument("--instruction", default="")
     p.add_argument("--transcript", default=None,
                    help="transcript text (default: the instruction)")
-    p.add_argument("--seconds", type=float, default=2.0)
-    p.add_argument("--frames", type=int, default=None,
+    p.add_argument("--seconds", type=_SECONDS, default=2.0)
+    p.add_argument("--frames", type=_COUNT, default=None,
                    help="latent frame count (overrides --seconds)")
-    p.add_argument("--gl-iters", type=int, default=60)
+    p.add_argument("--gl-iters", type=_COUNT, default=60)
 
     p = sub.add_parser("edit", parents=[common], help="instruction-edit a recording")
     p.add_argument("--checkpoint", required=True)
@@ -441,7 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instruction", required=True)
     p.add_argument("--transcript", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--gl-iters", type=int, default=60)
+    p.add_argument("--gl-iters", type=_COUNT, default=60)
 
     p = sub.add_parser("eval", parents=[common], help="fidelity metrics report")
     p.add_argument("--manifest", default=None, help="forged dataset root")

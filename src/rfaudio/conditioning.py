@@ -33,15 +33,14 @@ from .autodiff import (
     layer_norm,
     matmul,
 )
-from .binfile import read_matrix, write_matrix
+from .binfile import Reader, Writer
 from .optim import ParamStore
 
 logger = logging.getLogger("rfaudio.conditioning")
 
 FEATSEQ_MAGIC = b"FEATSEQ1"
 
-#: character vocabulary of the transcript encoder: pad, unknown, ASCII 32..126
-PAD_INDEX = 0
+#: character vocabulary of the transcript encoder: pad (index 0), unknown, ASCII 32..126
 UNKNOWN_INDEX = 1
 TRANSCRIPT_VOCAB = 2 + (126 - 32 + 1)
 
@@ -197,7 +196,9 @@ class PromptMask:
 
 def write_feature_seq(path, seq: FeatureSeq) -> None:
     """Serialize a feature sequence: magic, u32 L, u32 D, float32 LE rows."""
-    write_matrix(path, FEATSEQ_MAGIC, seq.tokens.data)
+    with Writer(path, FEATSEQ_MAGIC) as w:
+        w.fields("<II", seq.length, seq.width)
+        w.floats(seq.tokens.data)
 
 
 def read_feature_seq(path) -> FeatureSeq:
@@ -206,7 +207,9 @@ def read_feature_seq(path) -> FeatureSeq:
     Any malformed file raises :class:`FeatureFileError`. Replayed features
     carry no validity semantics of their own; every row is marked valid.
     """
-    rows = read_matrix(path, FEATSEQ_MAGIC, "feature file", FeatureFileError)
+    r = Reader(path, FEATSEQ_MAGIC, "feature file", FeatureFileError)
+    rows = r.floats(r.fields("<II"))
+    r.end()
     if rows.shape[1] < 1:
         raise FeatureFileError(f"{path}: feature width must be at least 1")
     return FeatureSeq(Tensor(rows), np.ones(len(rows), dtype=bool))
@@ -231,7 +234,6 @@ class ToyTokenProvider:
         width: int,
         store: ParamStore,
         rng: np.random.Generator,
-        prefix: str = "mm_toy",
         dtype=np.float32,
     ) -> None:
         self.vocab = list(vocab)
@@ -240,10 +242,10 @@ class ToyTokenProvider:
         self._index = {w: i + 1 for i, w in enumerate(self.vocab)}
         self.width = int(width)
         init = (0.02 * rng.standard_normal((1 + len(self.vocab), width))).astype(dtype)
-        self.table = store.create(f"{prefix}.table", init).tensor
+        self.table = store.create("mm_toy.table", init).tensor
         self.oov_count = 0
 
-    def provide(self, instruction: str, aux=None) -> FeatureSeq:
+    def provide(self, instruction: str) -> FeatureSeq:
         words = instruction.split()
         if not words:
             return FeatureSeq.empty(self.width, dtype=self.table.data.dtype)
@@ -268,7 +270,7 @@ class ReplayFeatureProvider:
         self._tokens = seq.tokens.data
         self.width = seq.width
 
-    def provide(self, instruction: str = "", aux=None) -> FeatureSeq:
+    def provide(self, instruction: str = "") -> FeatureSeq:
         return FeatureSeq(Tensor(self._tokens), np.ones(len(self._tokens), dtype=bool))
 
 
@@ -278,7 +280,7 @@ class NullContextProvider:
     def __init__(self, width: int) -> None:
         self.width = int(width)
 
-    def provide(self, instruction: str = "", aux=None) -> FeatureSeq:
+    def provide(self, instruction: str = "") -> FeatureSeq:
         return FeatureSeq.empty(self.width)
 
 
@@ -293,7 +295,7 @@ class NullSyncProvider:
     def __init__(self, width: int = SYNC_WIDTH) -> None:
         self.width = int(width)
 
-    def provide(self, video, latent_T: int, latent_rate: float) -> FrameFeatures:
+    def provide(self, latent_T: int, latent_rate: float) -> FrameFeatures:
         return FrameFeatures.zeros(latent_T, self.width, valid=False)
 
 
@@ -319,7 +321,7 @@ class ReplaySyncProvider:
         self.native_rate = float(native_rate)
         self.width = seq.width
 
-    def provide(self, video, latent_T: int, latent_rate: float) -> FrameFeatures:
+    def provide(self, latent_T: int, latent_rate: float) -> FrameFeatures:
         if latent_T < 1:
             raise ValueError("latent_T must be at least 1")
         n = len(self._rows)
@@ -361,7 +363,7 @@ def transcript_indices(text: str) -> tuple[np.ndarray, int]:
 
 
 class TranscriptEncoder:
-    """Character embeddings refined by a stack of residual conv blocks.
+    """Character embeddings refined by a stack of four residual conv blocks.
 
     Each block: depthwise 1-D conv (width 7), layer norm, pointwise
     expansion by 4x, gelu, pointwise projection, residual add.  Output
@@ -373,19 +375,15 @@ class TranscriptEncoder:
         store: ParamStore,
         width: int,
         rng: np.random.Generator,
-        n_blocks: int = 4,
-        kernel_width: int = 7,
-        prefix: str = "transcript",
         dtype=np.float32,
     ) -> None:
         if width < 1:
             raise ValueError("encoder width must be at least 1")
         self.width = int(width)
-        self.n_blocks = int(n_blocks)
         self.oov_count = 0
 
         def make(name, arr):
-            return store.create(f"{prefix}.{name}", arr.astype(dtype)).tensor
+            return store.create(f"transcript.{name}", arr.astype(dtype)).tensor
 
         def linear_init(d_in, d_out):
             return rng.standard_normal((d_in, d_out)) / np.sqrt(d_in)
@@ -393,12 +391,9 @@ class TranscriptEncoder:
         self.embed = make("embed", 0.02 * rng.standard_normal((TRANSCRIPT_VOCAB, width)))
         self.blocks = []
         hidden = 4 * width
-        for i in range(n_blocks):
+        for i in range(4):
             blk = {
-                "conv_w": make(
-                    f"block{i}.conv_w",
-                    rng.standard_normal((kernel_width, width)) / np.sqrt(kernel_width),
-                ),
+                "conv_w": make(f"block{i}.conv_w", rng.standard_normal((7, width)) / np.sqrt(7)),
                 "conv_b": make(f"block{i}.conv_b", np.zeros(width)),
                 "ln_gain": make(f"block{i}.ln_gain", np.ones(width)),
                 "ln_bias": make(f"block{i}.ln_bias", np.zeros(width)),
@@ -589,27 +584,21 @@ class Conditioner:
             sync_provider if sync_provider is not None else NullSyncProvider(d_sync)
         )
 
-    @property
-    def d_low(self) -> int:
-        return self.d_sync + self.d_mel
-
     def assemble(
         self,
         latent_T: int,
         instruction: str = "",
         transcript: str = "",
         mel: FrameFeatures | None = None,
-        video=None,
-        aux=None,
         latent_rate: float = DEFAULT_LATENT_RATE,
     ) -> ConditioningBundle:
         """Build one example's bundle; the frame stream always has ``latent_T`` rows."""
-        mm = self.mm_provider.provide(instruction, aux)
+        mm = self.mm_provider.provide(instruction)
         trans = self.encoder.encode(transcript)
         high = build_high_stream(self.mm_adapter.apply(mm), self.trans_adapter.apply(trans))
         if latent_T < 1:
             raise ValueError("latent_T must be at least 1")
-        sync = self.sync_provider.provide(video, latent_T, latent_rate)
+        sync = self.sync_provider.provide(latent_T, latent_rate)
         if mel is None:
             mel = FrameFeatures.zeros(latent_T, self.d_mel, valid=False)
         if mel.frame_count != latent_T:

@@ -6,7 +6,8 @@ task views (add, remove, extract) derived from the same composition. Because
 every mixture is assembled as ``background + stem_0 + stem_1 + ...`` with a
 fixed summation order, the task algebra holds sample-exactly in memory:
 ``add.target == remove.source``, ``add.source == remove.target``, and the
-extract target is the placed stem itself.
+extract target is the placed stem itself. It holds in memory only: a
+mixture can exceed [-1, 1], and ``write_wav`` clips such samples on disk.
 
 Scene randomness is fully parameterized: an :class:`EventSpec` records the
 clip, onset, SNR, pitch shift, and stretch factor, so re-composing a scene
@@ -39,7 +40,6 @@ from .audio import (
 log = logging.getLogger(__name__)
 
 TASKS = ("add", "remove", "extract")
-PROVENANCES = ("synthesis", "real-replay")
 
 SNR_RANGE = (0.0, 3.0)
 PITCH_RANGE = (-3.0, 3.0)
@@ -53,6 +53,7 @@ VAD_KEEP_THRESHOLD = 0.3
 BACKGROUND_LABEL = "background"
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+SYNTHETIC_VARIANTS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,6 @@ class EditTriplet:
     instruction: str
     event: EventSpec
     seed: int
-    provenance: str = "synthesis"
     source_audio: AudioBuffer | None = None
     target_audio: AudioBuffer | None = None
     event_stem: AudioBuffer | None = None
@@ -147,10 +147,6 @@ class EditTriplet:
             raise ValueError("triplet id must be a non-empty string")
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(
-                f"provenance must be one of {PROVENANCES}, got {self.provenance!r}"
-            )
         if self.event.label not in self.instruction:
             raise ValueError(
                 f"instruction must contain the event label verbatim: "
@@ -167,9 +163,9 @@ class EditTriplet:
 class SyntheticLibrary:
     """Deterministic bank of labeled synthetic clips plus noise backgrounds.
 
-    Every event label has ``variants`` clips (``"<label>/v<k>"``) built from
-    closed-form primitives: tones, chirps, band-passed noise bursts, click
-    trains, and frequency-modulated warbles. Clips regenerate bit-identically
+    Every event label has ``SYNTHETIC_VARIANTS`` clips (``"<label>/v<k>"``)
+    built from closed-form primitives: tones, chirps, band-passed noise
+    bursts, click trains, and frequency-modulated warbles. Clips regenerate bit-identically
     on every :meth:`resolve` call, so the library needs no storage.
     """
 
@@ -178,19 +174,15 @@ class SyntheticLibrary:
         sample_rate: int = 44100,
         clip_seconds: float = 1.0,
         background_seconds: float = DEFAULT_SCENE_SECONDS,
-        variants: int = 3,
         seed: int = 0,
     ) -> None:
         if sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if clip_seconds <= 0 or background_seconds <= 0:
             raise ValueError("clip durations must be positive")
-        if variants < 1:
-            raise ValueError("variants must be >= 1")
         self.sample_rate = int(sample_rate)
         self.clip_seconds = float(clip_seconds)
         self.background_seconds = float(background_seconds)
-        self.variants = int(variants)
         self.seed = int(seed)
         self._generators: dict[str, Callable[[np.ndarray, int, np.random.Generator], np.ndarray]] = {
             "sine tone": self._sine_tone,
@@ -212,10 +204,10 @@ class SyntheticLibrary:
             return self.background_ids()
         if label not in self._generators:
             raise KeyError(f"unknown label {label!r}")
-        return [f"{label}/v{k}" for k in range(self.variants)]
+        return [f"{label}/v{k}" for k in range(SYNTHETIC_VARIANTS)]
 
     def background_ids(self) -> list[str]:
-        return [f"{BACKGROUND_LABEL}/v{k}" for k in range(self.variants)]
+        return [f"{BACKGROUND_LABEL}/v{k}" for k in range(SYNTHETIC_VARIANTS)]
 
     def clip_duration_s(self, clip_id: str) -> float:
         label, _ = self._parse(clip_id)
@@ -246,7 +238,7 @@ class SyntheticLibrary:
             variant = int(tail[1:])
         except ValueError:
             raise KeyError(f"malformed clip id {clip_id!r}") from None
-        if not (0 <= variant < self.variants):
+        if not (0 <= variant < SYNTHETIC_VARIANTS):
             raise KeyError(f"variant {variant} out of range for {label!r}")
         return label, variant
 
@@ -486,7 +478,6 @@ def make_triplet(
         instruction=instruction,
         event=event,
         seed=scene.seed,
-        provenance="synthesis",
         source_audio=source,
         target_audio=target,
         event_stem=stem,
@@ -554,11 +545,8 @@ def semantic_stage(
     return ("semantic", keep)
 
 
-def default_stages(
-    vad_threshold: float = VAD_KEEP_THRESHOLD,
-    semantic_scorer: Callable[[EditTriplet], float] | None = None,
-) -> list[FilterStage]:
-    return [vad_stage(vad_threshold), semantic_stage(semantic_scorer)]
+def default_stages(vad_threshold: float = VAD_KEEP_THRESHOLD) -> list[FilterStage]:
+    return [vad_stage(vad_threshold), semantic_stage()]
 
 
 def filter_pipeline(
@@ -628,7 +616,7 @@ def manifest_item(triplet: EditTriplet) -> dict:
             "stretch": float(triplet.event.stretch),
         },
         "seed": int(triplet.seed),
-        "provenance": triplet.provenance,
+        "provenance": "synthesis",
     }
 
 
@@ -709,12 +697,6 @@ class ForgeConfig:
             raise ValueError(
                 f"unknown wav_format {self.wav_format!r}; expected one of {WAV_FORMATS}"
             )
-
-    @classmethod
-    def full_scale(cls, **overrides) -> "ForgeConfig":
-        """The full-scale preset (150k items per task). Never run in tests."""
-        overrides.setdefault("items_per_task", FULL_SCALE_ITEMS_PER_TASK)
-        return cls(**overrides)
 
 
 def draw_event(rng: np.random.Generator, library, scene_duration_s: float) -> EventSpec:
@@ -838,10 +820,10 @@ def forge_corpus(
 # ---------------------------------------------------------------------------
 
 
-def _edge_fade(n: int, sample_rate: int, fade_s: float = 0.01) -> np.ndarray:
-    """Unit envelope with raised-cosine edges to avoid onset/offset clicks."""
+def _edge_fade(n: int, sample_rate: int) -> np.ndarray:
+    """Unit envelope with 10 ms raised-cosine edges to avoid onset/offset clicks."""
     env = np.ones(n)
-    ramp = min(int(round(fade_s * sample_rate)), n // 2)
+    ramp = min(int(round(0.01 * sample_rate)), n // 2)
     if ramp > 0:
         shape = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
         env[:ramp] = shape
@@ -849,13 +831,13 @@ def _edge_fade(n: int, sample_rate: int, fade_s: float = 0.01) -> np.ndarray:
     return env
 
 
-def _plateau_envelope(n: int, active: tuple[float, float] = (0.1, 0.9), ramp_frac: float = 0.05) -> np.ndarray:
-    """Envelope that is zero outside ``active`` (fractions of n), 1.0 inside."""
+def _plateau_envelope(n: int) -> np.ndarray:
+    """Envelope that is 1.0 over the middle 80% of n with 5% ramps, zero outside."""
     env = np.zeros(n)
-    a = int(n * active[0])
-    b = int(n * active[1])
+    a = int(n * 0.1)
+    b = int(n * 0.9)
     env[a:b] = 1.0
-    ramp = max(int(n * ramp_frac), 1)
+    ramp = max(int(n * 0.05), 1)
     if b - a > 2 * ramp:
         shape = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
         env[a : a + ramp] = shape

@@ -75,8 +75,8 @@ def as_latent(x) -> np.ndarray:
 
 
 def interpolate(x0, x1, t: float) -> np.ndarray:
-    """Straight-line point (1-t) x0 + t x1."""
-    a, b = as_latent(x0), as_latent(x1)
+    """Straight-line point (1-t) x0 + t x1; callers check finiteness (:func:`as_latent`)."""
+    a, b = np.asarray(x0), np.asarray(x1)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if not 0.0 <= t <= 1.0:
@@ -90,7 +90,7 @@ def interpolate(x0, x1, t: float) -> np.ndarray:
 
 def target_velocity(x0, x1) -> np.ndarray:
     """The constant velocity x1 - x0 of the straight-line path."""
-    a, b = as_latent(x0), as_latent(x1)
+    a, b = np.asarray(x0), np.asarray(x1)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return b - a
@@ -147,8 +147,8 @@ def rf_loss(
         x1 = rng.standard_normal(arr.shape)
         x0f = arr.astype(np.float64)
         ts.append(t)
-        xts.append((1.0 - t) * x0f + t * x1)
-        targets.append(x1 - x0f)
+        xts.append(interpolate(x0f, x1, t))
+        targets.append(target_velocity(x0f, x1))
 
     dtype = model.dtype
     high, valid, low = collate_bundles([b for _, b in items], dtype=dtype)

@@ -14,9 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import AudioBuffer, _frame_stft, _hann_periodic, _overlap_add
-from .binfile import read_matrix, write_matrix
-
-MEL_DUMP_MAGIC = b"MELSPEC1"
 
 
 @dataclass(frozen=True)
@@ -174,12 +171,12 @@ def _nnls_step_size(cfg: MelConfig) -> float:
     return 1.0 / (2.0 * sigma_max**2)
 
 
-def _mel_to_linear_power(mel_power: np.ndarray, cfg: MelConfig, inner_steps: int = 50) -> np.ndarray:
-    """Projected-gradient NNLS: find P >= 0 with P @ FB.T ~= mel_power."""
+def _mel_to_linear_power(mel_power: np.ndarray, cfg: MelConfig) -> np.ndarray:
+    """Projected-gradient NNLS (50 steps): find P >= 0 with P @ FB.T ~= mel_power."""
     fb = _filterbank_cached(cfg)  # [M, bins]
     step = _nnls_step_size(cfg)
     p = mel_power @ fb  # adjoint init, non-negative
-    for _ in range(inner_steps):
+    for _ in range(50):
         resid = p @ fb.T - mel_power
         p = np.maximum(0.0, p - step * 2.0 * (resid @ fb))
     return p
@@ -248,18 +245,3 @@ def lsd(a, b, eps: float | None = None) -> float:
     e = float(eps_a if eps is None else eps)
     diff = 20.0 * (np.log10(mag_a + e) - np.log10(mag_b + e))
     return float(np.mean(np.sqrt(np.mean(diff**2, axis=1))))
-
-
-# ---------------------------------------------------------------------------
-# Mel dump format: magic "MELSPEC1", u32 T, u32 n_mels, then float32
-# row-major frames, little-endian.
-# ---------------------------------------------------------------------------
-
-
-def write_mel_dump(frames, path) -> None:
-    arr = frames.frames if isinstance(frames, MelSpectrogram) else frames
-    write_matrix(path, MEL_DUMP_MAGIC, arr)
-
-
-def read_mel_dump(path) -> np.ndarray:
-    return read_matrix(path, MEL_DUMP_MAGIC, "mel dump")

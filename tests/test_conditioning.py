@@ -191,7 +191,7 @@ class TestMmProviders:
 
 class TestSyncProviders:
     def test_null_provider_shape_and_validity(self):
-        ff = NullSyncProvider().provide(None, 80, DEFAULT_LATENT_RATE)
+        ff = NullSyncProvider().provide(80, DEFAULT_LATENT_RATE)
         assert ff.frame_count == 80
         assert ff.width == SYNC_WIDTH
         assert not ff.validity.any()
@@ -203,7 +203,7 @@ class TestSyncProviders:
         write_feature_seq(path, FeatureSeq(rows))
         provider = ReplaySyncProvider(path, native_rate=25.0)
         latent_T = 344
-        ff = provider.provide(None, latent_T, DEFAULT_LATENT_RATE)
+        ff = provider.provide(latent_T, DEFAULT_LATENT_RATE)
         assert ff.frame_count == latent_T
         idx = np.floor(np.arange(latent_T) * 25.0 / DEFAULT_LATENT_RATE).astype(int)
         assert idx[0] == 0 and idx[-1] == 49
@@ -212,33 +212,33 @@ class TestSyncProviders:
     def test_replay_loaded_twice_identical(self, tmp_path, rng):
         path = tmp_path / "sync.bin"
         write_feature_seq(path, make_seq(rng, 50, 3))
-        a = ReplaySyncProvider(path, 25.0).provide(None, 344, DEFAULT_LATENT_RATE)
-        b = ReplaySyncProvider(path, 25.0).provide(None, 344, DEFAULT_LATENT_RATE)
+        a = ReplaySyncProvider(path, 25.0).provide(344, DEFAULT_LATENT_RATE)
+        b = ReplaySyncProvider(path, 25.0).provide(344, DEFAULT_LATENT_RATE)
         assert np.array_equal(a.frames, b.frames)
 
     def test_one_row_short_is_clamped(self, tmp_path, rng):
         rows = rng.standard_normal((49, 3)).astype(np.float32)
         path = tmp_path / "sync.bin"
         write_feature_seq(path, FeatureSeq(rows))
-        ff = ReplaySyncProvider(path, 25.0).provide(None, 344, DEFAULT_LATENT_RATE)
+        ff = ReplaySyncProvider(path, 25.0).provide(344, DEFAULT_LATENT_RATE)
         assert np.array_equal(ff.frames[-1], rows[48])
 
     def test_two_rows_short_errors(self, tmp_path, rng):
         path = tmp_path / "sync.bin"
         write_feature_seq(path, make_seq(rng, 48, 3))
         with pytest.raises(FeatureFileError):
-            ReplaySyncProvider(path, 25.0).provide(None, 344, DEFAULT_LATENT_RATE)
+            ReplaySyncProvider(path, 25.0).provide(344, DEFAULT_LATENT_RATE)
 
     def test_excess_rows_beyond_tolerance_error(self, tmp_path, rng):
         path = tmp_path / "sync.bin"
         write_feature_seq(path, make_seq(rng, 52, 3))
         with pytest.raises(FeatureFileError):
-            ReplaySyncProvider(path, 25.0).provide(None, 344, DEFAULT_LATENT_RATE)
+            ReplaySyncProvider(path, 25.0).provide(344, DEFAULT_LATENT_RATE)
 
     def test_one_excess_row_tolerated(self, tmp_path, rng):
         path = tmp_path / "sync.bin"
         write_feature_seq(path, make_seq(rng, 51, 3))
-        ff = ReplaySyncProvider(path, 25.0).provide(None, 344, DEFAULT_LATENT_RATE)
+        ff = ReplaySyncProvider(path, 25.0).provide(344, DEFAULT_LATENT_RATE)
         assert ff.frame_count == 344
 
 

@@ -622,6 +622,34 @@ class TestArgumentErrors:
         capsys.readouterr()
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["forge", "--scale", "inf"],
+        ["forge", "--scale", "nan"],
+        ["forge", "--scale", "-1"],
+        ["train", "--data", "toy", "--steps", "0"],
+        ["sample", "--seconds", "inf"],
+        ["sample", "--seconds", "nan"],
+        ["sample", "--seconds", "-1"],
+        ["sample", "--seconds", "0"],
+        ["sample", "--frames", "0"],
+        ["sample", "--gl-iters", "0"],
+        ["edit", "--source", "missing.wav", "--instruction", "a", "--gl-iters", "0"],
+    ], ids=lambda argv: "_".join(arg.removeprefix("--") for arg in argv))
+    def test_bad_numeric_flag_exits_before_work(self, argv, tmp_path, capsys, monkeypatch):
+        """Refused at parse time, even with a missing checkpoint, writing nothing."""
+        monkeypatch.chdir(tmp_path)
+        paths = {
+            "forge": ["--root", "corpus"],
+            "train": ["--out", "model.ckpt"],
+            "sample": ["--checkpoint", "missing.ckpt", "--out", "out.wav"],
+            "edit": ["--checkpoint", "missing.ckpt", "--out", "out.wav"],
+        }[argv[0]]
+        rc = main([*argv, *paths])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "config"
+        assert list(tmp_path.iterdir()) == []
+
     def test_stderr_is_single_line_json(self, capsys):
         main(["eval"])
         err = capsys.readouterr().err

@@ -10,7 +10,6 @@ import pytest
 from rfaudio.audio import AudioBuffer, read_wav, vad_activity_ratio
 from rfaudio.dataforge import (
     DESK_ITEMS_PER_TASK,
-    FULL_SCALE_ITEMS_PER_TASK,
     PITCH_RANGE,
     SNR_RANGE,
     STRETCH_RANGE,
@@ -147,11 +146,6 @@ class TestEditTriplet:
         with pytest.raises(ValueError):
             EditTriplet(id="x", task="mute", instruction="sine tone",
                         event=event(), seed=0)
-
-    def test_bad_provenance(self):
-        with pytest.raises(ValueError):
-            EditTriplet(id="x", task="add", instruction="sine tone",
-                        event=event(), seed=0, provenance="dreamed")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +357,6 @@ class TestMakeTriplet:
         assert t.event.label == "warble"
         assert "warble" in t.instruction
         assert t.seed == 21
-        assert t.provenance == "synthesis"
         assert t.id == "extract-s21-e1"
         assert len(t.source_audio) == len(t.target_audio) == int(2.0 * RATE)
 
@@ -549,11 +542,6 @@ TINY = ForgeConfig(items_per_task=3, duration_s=2.0, seed=11)
 class TestForgeConfig:
     def test_desk_default(self):
         assert ForgeConfig().items_per_task == DESK_ITEMS_PER_TASK == 150
-
-    def test_full_scale_preset(self):
-        cfg = ForgeConfig.full_scale(seed=1)
-        assert cfg.items_per_task == FULL_SCALE_ITEMS_PER_TASK == 150_000
-        assert cfg.tasks == TASKS
 
     @pytest.mark.parametrize("kwargs", [
         {"items_per_task": -1},

@@ -18,7 +18,6 @@ from rfaudio.conditioning import (
     write_feature_seq,
 )
 from rfaudio.optim import ParamStore, load_checkpoint, save_checkpoint
-from rfaudio.spectral import read_mel_dump, write_mel_dump
 
 
 MATRIX = np.array([[1.5, -0.25, 0.0], [3.0, -1.0, 0.125]], dtype=np.float32)
@@ -47,13 +46,6 @@ READERS = {
         read_feature_seq,
         lambda seq: [seq.tokens.data],
         FeatureFileError,
-        True,
-    ),
-    "mel_dump": (
-        lambda path: write_mel_dump(MATRIX.T, path),
-        read_mel_dump,
-        lambda frames: [frames],
-        ValueError,
         True,
     ),
     "wav_float32": (
@@ -110,18 +102,16 @@ def _checkpoint_with(value):
     return write
 
 
-def _mel_dump_with(value):
-    def write(path):
-        frames = MATRIX.astype(np.float64)
-        frames[1, 2] = value
-        write_mel_dump(frames, path)
-    return write
+def _feature_seq_overflowing(path):
+    # a FeatureSeq refuses NaN and inf itself; 1e39 is finite until the float32 cast
+    tokens = MATRIX.astype(np.float64)
+    tokens[1, 2] = 1e39
+    write_feature_seq(path, FeatureSeq(tokens))
 
 
 @pytest.mark.parametrize("write", [
-    _checkpoint_with(np.nan), _checkpoint_with(np.inf),
-    _mel_dump_with(np.nan), _mel_dump_with(-np.inf), _mel_dump_with(1e39),
-], ids=["checkpoint_nan", "checkpoint_inf", "mel_nan", "mel_-inf", "mel_float32_overflow"])
+    _checkpoint_with(np.nan), _checkpoint_with(np.inf), _feature_seq_overflowing,
+], ids=["checkpoint_nan", "checkpoint_inf", "feature_seq_float32_overflow"])
 @pytest.mark.parametrize("existing", [None, b"old bytes"], ids=["new", "existing"])
 def test_non_finite_refused_at_save(tmp_path, write, existing):
     path = tmp_path / "file.bin"

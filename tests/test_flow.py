@@ -394,6 +394,36 @@ class TestRfLoss:
         loss.backward()
         assert model.params["dit.in.w"].tensor.grad is not None
 
+    def test_rf_loss_pinned(self):
+        """Loss and gradients of a seeded, perturbed model, compared exactly
+        against values recorded before the loss was routed through
+        ``interpolate`` and ``target_velocity``."""
+        expected_grads = {
+            "dit.out.b": [-0.7505643963813782, 0.14022362232208252, -0.4845234453678131],
+            "dit.in.w": [-0.10630618780851364, 0.25830990076065063, 0.131429523229599],
+            "time.w2": [-0.02943209931254387, 0.5499884486198425, 0.14342054724693298],
+            "cond.mm_adapter.w": [0.00852079875767231, 0.018465161323547363,
+                                  0.03501354902982712],
+            "transcript.block0.expand_w": [-0.9164748787879944, -0.004311467055231333,
+                                           0.2249583750963211],
+        }
+        model = FlowModel(TINY, seed=0, toy_vocab=["dog", "cat"])
+        noise = np.random.default_rng(5)
+        for p in model.params:
+            p.data[...] += 0.3 * noise.standard_normal(p.data.shape).astype(np.float32)
+        data = np.random.default_rng(9)
+        batch = [
+            (data.standard_normal((4, 3)).astype(np.float32),
+             model.conditioner.assemble(4, instruction=words, transcript="hi"))
+            for words in ("dog", "cat", "dog cat")
+        ]
+        loss = rf_loss(batch, model, np.random.default_rng(21), dropout_p=0.5)
+        loss.backward()
+        assert float(loss.data) == 3.0377659797668457
+        for name, want in expected_grads.items():
+            got = model.params[name].tensor.grad.ravel()[:3]
+            assert got.tolist() == want, name
+
 
 class TestTrain:
     def make_dataset(self, model, rng, n_items=4, T=2):

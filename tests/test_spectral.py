@@ -13,9 +13,7 @@ from rfaudio.spectral import (
     mel_center_frequencies,
     mel_filterbank,
     mel_spectrogram,
-    read_mel_dump,
     stft,
-    write_mel_dump,
 )
 
 CFG_SMALL = MelConfig(sample_rate=8000, n_fft=256, hop=64, n_mels=40)
@@ -240,34 +238,3 @@ class TestLsd:
         buf = AudioBuffer(rng.uniform(-0.3, 0.3, 2000), 8000)
         with pytest.raises(ValueError):
             lsd(mel_spectrogram(buf, cfg), stft(buf, cfg))
-
-
-class TestMelDump:
-    def test_round_trip_bit_exact(self, tmp_path, rng):
-        cfg = CFG_SMALL
-        mel = mel_spectrogram(AudioBuffer(rng.uniform(-0.4, 0.4, 2500), 8000), cfg)
-        p = tmp_path / "m.mel"
-        write_mel_dump(mel, p)
-        back = read_mel_dump(p)
-        assert back.dtype == np.float32
-        assert np.array_equal(back, mel.frames)
-
-    def test_header(self, tmp_path):
-        p = tmp_path / "m.mel"
-        write_mel_dump(np.zeros((3, 5), dtype=np.float32), p)
-        blob = p.read_bytes()
-        assert blob[:8] == b"MELSPEC1"
-        assert len(blob) == 16 + 4 * 15
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "x.mel"
-        p.write_bytes(b"NOTMEL00" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="not a mel dump"):
-            read_mel_dump(p)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        p = tmp_path / "m.mel"
-        write_mel_dump(np.zeros((3, 5), dtype=np.float32), p)
-        p.write_bytes(p.read_bytes() + b"junk")
-        with pytest.raises(ValueError, match="trailing"):
-            read_mel_dump(p)
