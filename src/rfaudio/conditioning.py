@@ -19,7 +19,7 @@ conditional and unconditional passes share one code path.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,24 +67,18 @@ class FeatureFileError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _as_bool_mask(validity, length: int, what: str) -> np.ndarray:
-    mask = np.asarray(validity, dtype=bool)
-    if mask.shape != (length,):
-        raise ValueError(f"{what} validity has shape {mask.shape}, expected ({length},)")
-    return mask
-
-
 @dataclass
 class FeatureSeq:
-    """A variable-length sequence of context vectors with a validity mask.
+    """A variable-length sequence of context vectors.
 
     ``tokens`` is a ``[L, D]`` tensor (``L`` may be zero for the
-    unconditional case).  Plain arrays are wrapped into constant tensors so
-    trainable and replayed sources flow through the same code path.
+    unconditional case).  Every row is real context; padding exists only
+    inside a collated batch, where each item's length marks it.  Plain
+    arrays are wrapped into constant tensors so trainable and replayed
+    sources flow through the same code path.
     """
 
     tokens: Tensor
-    validity: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if not isinstance(self.tokens, Tensor):
@@ -96,10 +90,6 @@ class FeatureSeq:
             raise ValueError(f"tokens must be [L, D], got shape {self.tokens.data.shape}")
         if not np.all(np.isfinite(self.tokens.data)):
             raise ValueError("tokens contain non-finite values")
-        if self.validity is None:
-            self.validity = np.ones(self.length, dtype=bool)
-        else:
-            self.validity = _as_bool_mask(self.validity, self.length, "token")
 
     @property
     def length(self) -> int:
@@ -111,7 +101,7 @@ class FeatureSeq:
 
     @classmethod
     def empty(cls, width: int, dtype=np.float32) -> "FeatureSeq":
-        return cls(Tensor(np.zeros((0, width), dtype=dtype)), np.zeros(0, dtype=bool))
+        return cls(Tensor(np.zeros((0, width), dtype=dtype)))
 
 
 @dataclass
@@ -132,8 +122,12 @@ class FrameFeatures:
         self.frames = arr
         if self.validity is None:
             self.validity = np.ones(self.frame_count, dtype=bool)
-        else:
-            self.validity = _as_bool_mask(self.validity, self.frame_count, "frame")
+        self.validity = np.asarray(self.validity, dtype=bool)
+        if self.validity.shape != (self.frame_count,):
+            raise ValueError(
+                f"frame validity has shape {self.validity.shape}, "
+                f"expected ({self.frame_count},)"
+            )
 
     @property
     def frame_count(self) -> int:
@@ -144,24 +138,23 @@ class FrameFeatures:
         return self.frames.shape[1]
 
     @classmethod
-    def zeros(cls, frame_count: int, width: int, valid: bool = False) -> "FrameFeatures":
+    def zeros(cls, frame_count: int, width: int) -> "FrameFeatures":
         return cls(
             np.zeros((frame_count, width), dtype=np.float32),
-            np.full(frame_count, valid, dtype=bool),
+            np.zeros(frame_count, dtype=bool),
         )
 
 
 @dataclass
 class ConditioningBundle:
-    """One training/sampling example's full conditioning.
+    """One example's conditioning: the two streams the velocity network reads.
 
-    Null sources are explicit (zero features, cleared validity), never
-    absent fields, so a bundle always carries both streams.
+    Null sources are explicit (an empty context, zero frames with cleared
+    validity), never absent fields, so a bundle always carries both streams.
     """
 
     high: FeatureSeq
     low: FrameFeatures
-    flags: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -204,15 +197,14 @@ def write_feature_seq(path, seq: FeatureSeq) -> None:
 def read_feature_seq(path) -> FeatureSeq:
     """Load a feature sequence written by :func:`write_feature_seq`.
 
-    Any malformed file raises :class:`FeatureFileError`. Replayed features
-    carry no validity semantics of their own; every row is marked valid.
+    Any malformed file raises :class:`FeatureFileError`.
     """
     r = Reader(path, FEATSEQ_MAGIC, "feature file", FeatureFileError)
     rows = r.floats(r.fields("<II"))
     r.end()
     if rows.shape[1] < 1:
         raise FeatureFileError(f"{path}: feature width must be at least 1")
-    return FeatureSeq(Tensor(rows), np.ones(len(rows), dtype=bool))
+    return FeatureSeq(Tensor(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +247,7 @@ class ToyTokenProvider:
             if j == 0:
                 self.oov_count += 1
             idx[i] = j
-        return FeatureSeq(embedding(self.table, idx), np.ones(len(words), dtype=bool))
+        return FeatureSeq(embedding(self.table, idx))
 
 
 class ReplayFeatureProvider:
@@ -271,7 +263,7 @@ class ReplayFeatureProvider:
         self.width = seq.width
 
     def provide(self, instruction: str = "") -> FeatureSeq:
-        return FeatureSeq(Tensor(self._tokens), np.ones(len(self._tokens), dtype=bool))
+        return FeatureSeq(Tensor(self._tokens))
 
 
 class NullContextProvider:
@@ -296,7 +288,7 @@ class NullSyncProvider:
         self.width = int(width)
 
     def provide(self, latent_T: int, latent_rate: float) -> FrameFeatures:
-        return FrameFeatures.zeros(latent_T, self.width, valid=False)
+        return FrameFeatures.zeros(latent_T, self.width)
 
 
 class ReplaySyncProvider:
@@ -418,7 +410,7 @@ class TranscriptEncoder:
             h = gelu(matmul(h, blk["expand_w"], blk["expand_b"]))
             h = matmul(h, blk["project_w"], blk["project_b"])
             x = add(x, h)
-        return FeatureSeq(x, np.ones(len(text), dtype=bool))
+        return FeatureSeq(x)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +441,7 @@ class SourceAdapter:
             raise ValueError(f"adapter expects width {self.d_in}, got {seq.width}")
         if seq.length == 0:
             return FeatureSeq.empty(self.d_out, dtype=self.w.data.dtype)
-        return FeatureSeq(matmul(seq.tokens, self.w, self.b), seq.validity.copy())
+        return FeatureSeq(matmul(seq.tokens, self.w, self.b))
 
 
 def build_high_stream(mm: FeatureSeq, trans: FeatureSeq) -> FeatureSeq:
@@ -458,21 +450,18 @@ def build_high_stream(mm: FeatureSeq, trans: FeatureSeq) -> FeatureSeq:
         raise ValueError(
             f"context sources must share one width, got {mm.width} and {trans.width}"
         )
-    if trans.length == 0 and mm.length == 0:
-        return FeatureSeq.empty(mm.width, dtype=mm.tokens.data.dtype)
     if trans.length == 0:
-        return FeatureSeq(mm.tokens, mm.validity.copy())
+        return mm
     if mm.length == 0:
-        return FeatureSeq(trans.tokens, trans.validity.copy())
-    tokens = concatenate([mm.tokens, trans.tokens], axis=0)
-    return FeatureSeq(tokens, np.concatenate([mm.validity, trans.validity]))
+        return trans
+    return FeatureSeq(concatenate([mm.tokens, trans.tokens], axis=0))
 
 
 def build_low_stream(sync: FrameFeatures, mel: FrameFeatures) -> FrameFeatures:
     """Channel-concatenate frame-aligned sources; frame counts must match.
 
     A combined frame is marked valid when either source carries real
-    content there; per-source reality lives in the bundle flags.
+    content there.
     """
     if sync.frame_count != mel.frame_count:
         raise ValueError(
@@ -518,9 +507,8 @@ def mask_prompt(
 
 def null_bundle(bundle: ConditioningBundle) -> ConditioningBundle:
     """The unconditional counterpart: empty context, zeroed invalid frames."""
-    low = FrameFeatures.zeros(bundle.low.frame_count, bundle.low.width, valid=False)
-    flags = {key: False for key in bundle.flags}
-    return ConditioningBundle(FeatureSeq.empty(bundle.high.width), low, flags)
+    low = FrameFeatures.zeros(bundle.low.frame_count, bundle.low.width)
+    return ConditioningBundle(FeatureSeq.empty(bundle.high.width), low)
 
 
 def condition_dropout(
@@ -569,10 +557,6 @@ class Conditioner:
         sync_provider=None,
         dtype=np.float32,
     ) -> None:
-        self.d_high = int(d_high)
-        self.d_mm = int(d_mm)
-        self.d_trans = int(d_trans)
-        self.d_sync = int(d_sync)
         self.d_mel = int(d_mel)
         self.encoder = TranscriptEncoder(store, d_trans, rng, dtype=dtype)
         self.mm_adapter = SourceAdapter(store, "cond.mm_adapter", d_mm, d_high, rng, dtype)
@@ -600,18 +584,11 @@ class Conditioner:
             raise ValueError("latent_T must be at least 1")
         sync = self.sync_provider.provide(latent_T, latent_rate)
         if mel is None:
-            mel = FrameFeatures.zeros(latent_T, self.d_mel, valid=False)
+            mel = FrameFeatures.zeros(latent_T, self.d_mel)
         if mel.frame_count != latent_T:
             raise ValueError(
                 f"mel reference has {mel.frame_count} frames, latent grid has {latent_T}"
             )
         if mel.width != self.d_mel:
             raise ValueError(f"mel reference is {mel.width}-wide, expected {self.d_mel}")
-        low = build_low_stream(sync, mel)
-        flags = {
-            "mm": mm.length > 0,
-            "transcript": trans.length > 0,
-            "sync": bool(sync.validity.any()),
-            "mel": bool(mel.validity.any()),
-        }
-        return ConditioningBundle(high, low, flags)
+        return ConditioningBundle(high, build_low_stream(sync, mel))

@@ -480,6 +480,7 @@ def load_model(path):
     """
     store, step = load_checkpoint(path)
     meta, config, codec = _read_sidecar(path)
+    _check_sizes(path, config, store)
     model = FlowModel(config, seed=meta.get("seed") or 0, toy_vocab=meta.get("toy_vocab"))
     loaded = set(store.names())
     expected = set(model.params.names())
@@ -500,6 +501,32 @@ def load_model(path):
         p.v[...] = q.v
     model.step = step
     return model, codec, meta
+
+
+def _check_sizes(path, config: ModelConfig, store) -> None:
+    """Check each size-setting config field against the records it sizes,
+    before :class:`FlowModel` allocates: a corrupt sidecar (``"width": 2**40``)
+    must be a ``ValueError`` naming it, not a ``MemoryError``.
+    """
+    sidecar, c = _sidecar_path(path), config
+    blocks = sum(n.startswith("dit.block") and n.endswith(".ln1.g") for n in store.names())
+    if blocks != c.depth:
+        raise ValueError(f"{sidecar}: 'config' sets depth {c.depth}, the checkpoint has {blocks}")
+    shapes = {
+        "dit.in.b": (c.width,),
+        "dit.out.b": (c.d_lat,),
+        "dit.block0.ck.w": (c.d_high, c.width),
+        "dit.block0.mlp.b1": (c.mlp_ratio * c.width,),
+        "cond.mm_adapter.w": (c.d_mm, c.d_high),
+        "cond.transcript_adapter.w": (c.d_trans, c.d_high),
+        "time.w2": (c.time_basis, c.d_low),
+    }
+    for name, want in shapes.items():
+        got = store[name].data.shape if name in store else None
+        if got != want:
+            raise ValueError(
+                f"{sidecar}: 'config' implies {name} of shape {want}, the checkpoint has {got}"
+            )
 
 
 def _read_sidecar(path):

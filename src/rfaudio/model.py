@@ -111,7 +111,6 @@ class TimeEmbedding:
         dtype=np.float32,
     ) -> None:
         self.basis_dim = int(basis_dim)
-        self.d_out = int(d_out)
 
         def make(name, arr):
             return store.create(f"time.{name}", arr.astype(dtype)).tensor
@@ -142,12 +141,8 @@ class FlowModel:
         config: ModelConfig,
         seed: int = 0,
         toy_vocab=None,
-        mm_provider=None,
-        sync_provider=None,
         dtype=np.float32,
     ) -> None:
-        if toy_vocab is not None and mm_provider is not None:
-            raise ValueError("pass either toy_vocab or mm_provider, not both")
         self.config = config
         self.dtype = dtype
         self.params = ParamStore()
@@ -156,6 +151,7 @@ class FlowModel:
         self.toy_vocab = list(toy_vocab) if toy_vocab is not None else None
         rng = np.random.default_rng(seed)
 
+        mm_provider = None
         if self.toy_vocab is not None:
             mm_provider = ToyTokenProvider(
                 self.toy_vocab, config.d_mm, self.params, rng, dtype=dtype
@@ -169,7 +165,6 @@ class FlowModel:
             d_mel=config.d_mel,
             rng=rng,
             mm_provider=mm_provider,
-            sync_provider=sync_provider,
             dtype=dtype,
         )
         self.time_embed = TimeEmbedding(
@@ -243,17 +238,13 @@ class FlowModel:
         tokens = concatenate([x_t, add(low, te)], axis=-1)
         x = matmul(tokens, self.in_w, self.in_b)
 
-        mask = None
-        indicator = None
-        if high_tokens is not None:
-            if not high_valid.all():
-                mask = np.where(high_valid[:, None, None, :], 0.0, MASK_PENALTY)
-                mask = mask.astype(x.data.dtype)
-                per_item = high_valid.any(axis=1)
-                if not per_item.all():
-                    indicator = Tensor(
-                        per_item.astype(x.data.dtype).reshape(B, 1, 1)
-                    )
+        mask = indicator = None
+        if high_tokens is not None and not high_valid.all():
+            mask = np.where(high_valid[:, None, None, :], 0.0, MASK_PENALTY).astype(x.data.dtype)
+            # items with an empty context get no cross-attention output at all
+            per_item = high_valid.any(axis=1)
+            if not per_item.all():
+                indicator = Tensor(per_item.astype(x.data.dtype).reshape(B, 1, 1))
 
         for blk in self.blocks:
             h = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
@@ -305,10 +296,11 @@ def dit_forward(x_t, t: float, bundle: ConditioningBundle, model: FlowModel) -> 
 def collate_bundles(bundles, dtype=np.float32):
     """Batch bundles: stacked frame streams, padded context, validity.
 
-    Context sequences are zero-padded to the longest length with their
-    validity masks extended by False; gradients still flow into each
-    item's real tokens.  Returns ``(high_tokens, high_valid, low)`` where
-    the first two are None when every context is empty.
+    Context sequences are zero-padded to the longest length; ``high_valid``
+    marks each item's first ``length`` positions, so padding is the only
+    thing cross-attention masks.  Gradients still flow into each item's
+    real tokens.  Returns ``(high_tokens, high_valid, low)`` where the
+    first two are None when every context is empty.
     """
     Ts = {b.low.frame_count for b in bundles}
     if len(Ts) != 1:
@@ -334,5 +326,5 @@ def collate_bundles(bundles, dtype=np.float32):
             pad = Tensor(np.zeros((l_max - L, dh), dtype=tok.data.dtype))
             tok = concatenate([tok, pad], axis=0) if L else pad
         padded.append(tok)
-        valid[i, :L] = b.high.validity
+        valid[i, :L] = True
     return stack(padded, axis=0), valid, low

@@ -146,9 +146,7 @@ class ConstantFieldModel:
 def _empty_bundle(frames: int, d_high: int = 4, d_low: int = 3):
     from rfaudio.conditioning import ConditioningBundle, FeatureSeq
 
-    return ConditioningBundle(
-        FeatureSeq.empty(d_high), FrameFeatures.zeros(frames, d_low), {}
-    )
+    return ConditioningBundle(FeatureSeq.empty(d_high), FrameFeatures.zeros(frames, d_low))
 
 
 def _mixture_guided_samples(centers, sigma, guidance, per_class, steps=100, seed_base=9000):

@@ -46,20 +46,11 @@ class TestFeatureSeq:
         seq = FeatureSeq.empty(7)
         assert seq.length == 0
         assert seq.width == 7
-        assert seq.validity.shape == (0,)
 
     def test_wraps_plain_arrays(self):
         seq = FeatureSeq(np.ones((3, 2)))
         assert isinstance(seq.tokens, Tensor)
         assert seq.tokens.data.dtype == np.float64  # float dtypes are preserved
-
-    def test_default_validity_is_all_true(self):
-        seq = FeatureSeq(np.zeros((4, 2), dtype=np.float32))
-        assert seq.validity.all()
-
-    def test_validity_length_mismatch(self):
-        with pytest.raises(ValueError):
-            FeatureSeq(np.zeros((4, 2), dtype=np.float32), np.ones(3, dtype=bool))
 
     def test_non_finite_rejected(self):
         bad = np.zeros((2, 2), dtype=np.float32)
@@ -93,7 +84,6 @@ class TestReplayFiles:
         write_feature_seq(path, seq)
         back = read_feature_seq(path)
         assert np.array_equal(back.tokens.data, seq.tokens.data)
-        assert back.validity.all()
 
     def test_header_layout(self, tmp_path):
         seq = FeatureSeq(np.zeros((2, 3), dtype=np.float32))
@@ -324,12 +314,6 @@ class TestHighStream:
         with pytest.raises(ValueError):
             build_high_stream(make_seq(rng, 2, 4), make_seq(rng, 2, 5))
 
-    def test_validity_concatenated(self, rng):
-        mm = FeatureSeq(rng.standard_normal((2, 4)).astype(np.float32), [True, False])
-        tr = FeatureSeq(rng.standard_normal((1, 4)).astype(np.float32), [True])
-        out = build_high_stream(mm, tr)
-        assert list(out.validity) == [True, False, True]
-
     def test_adapter_projects_width(self, rng):
         from rfaudio.conditioning import SourceAdapter
 
@@ -369,7 +353,7 @@ class TestLowStream:
             build_low_stream(FrameFeatures.zeros(4, 3), FrameFeatures.zeros(5, 3))
 
     def test_validity_is_or(self):
-        sync = FrameFeatures.zeros(3, 2, valid=False)
+        sync = FrameFeatures.zeros(3, 2)
         mel = FrameFeatures(np.ones((3, 2), dtype=np.float32), [True, False, True])
         out = build_low_stream(sync, mel)
         assert list(out.validity) == [True, False, True]
@@ -442,7 +426,7 @@ class TestPromptMaskType:
 def make_bundle(rng, latent_T=6, d_high=5, d_low=4):
     high = FeatureSeq(rng.standard_normal((3, d_high)).astype(np.float32))
     low = FrameFeatures(rng.standard_normal((latent_T, d_low)).astype(np.float32))
-    return ConditioningBundle(high, low, {"mm": True, "mel": True})
+    return ConditioningBundle(high, low)
 
 
 class TestConditionDropout:
@@ -458,7 +442,6 @@ class TestConditionDropout:
         assert out.low.frame_count == bundle.low.frame_count
         assert not out.low.frames.any()
         assert not out.low.validity.any()
-        assert not any(out.flags.values())
 
     def test_default_probability(self):
         assert CONDITION_DROPOUT_P == 0.10
@@ -500,7 +483,6 @@ class TestConditionerAssembly:
         assert bundle.low.width == 8  # 3 sync + 5 mel
         assert bundle.high.length == 2 + 3
         assert bundle.high.width == 8
-        assert bundle.flags == {"mm": True, "transcript": True, "sync": False, "mel": True}
 
     def test_unconditional_assembly(self, rng):
         store = ParamStore()
@@ -509,7 +491,6 @@ class TestConditionerAssembly:
         assert bundle.high.length == 0
         assert bundle.low.frame_count == 7
         assert not bundle.low.validity.any()
-        assert not any(bundle.flags.values())
 
     def test_mel_frame_mismatch(self, rng):
         _, cond = self.make_conditioner(rng)

@@ -456,8 +456,11 @@ class TestSampleCommand:
         lambda meta: {**meta, "stats": [1]},
         lambda meta: {**meta, "stats": {**meta["stats"], "mel": {"bogus": 1}}},
         lambda meta: {**meta, "stats": {**meta["stats"], "mean": [[1]]}},
+        lambda meta: {**meta, "config": {**meta["config"], "width": 2**40}},
+        lambda meta: {**meta, "config": {**meta["config"], "depth": 2**31}},
     ], ids=["list_root", "no_config", "unknown_key", "string_width", "vocab_int",
-            "vocab_of_ints", "stats_list", "stats_bad_mel", "stats_bad_mean"])
+            "vocab_of_ints", "stats_list", "stats_bad_mel", "stats_bad_mean",
+            "huge_width", "huge_depth"])
     def test_malformed_sidecar(self, workspace, tmp_path, capsys, corrupt):
         ckpt = tmp_path / "m.ckpt"
         ckpt.write_bytes(Path(workspace["ckpt"]).read_bytes())

@@ -37,7 +37,7 @@ TINY = ModelConfig(
 
 
 def empty_bundle(T, d_high=6, d_low=5):
-    return ConditioningBundle(FeatureSeq.empty(d_high), FrameFeatures.zeros(T, d_low), {})
+    return ConditioningBundle(FeatureSeq.empty(d_high), FrameFeatures.zeros(T, d_low))
 
 
 class TestPathAlgebra:
@@ -274,7 +274,7 @@ class TestSampleBatch:
         else:
             d_high += 1
         high = FeatureSeq(np.ones((2, d_high), dtype=np.float32))
-        bundle = ConditioningBundle(high, FrameFeatures.zeros(3, d_low), {})
+        bundle = ConditioningBundle(high, FrameFeatures.zeros(3, d_low))
         cfg = SamplerConfig(steps=1)
         with pytest.raises(ValueError, match="width"):
             sample(model, bundle, (3, d_lat), cfg)
