@@ -86,13 +86,13 @@ _FMT_IEEE_FLOAT = 3
 WAV_FORMATS = ("float32", "pcm16")
 
 
-def _iter_chunks(blob: bytes):
-    """Yield (chunk_id, payload) pairs of a RIFF body, checking lengths."""
+def _iter_chunks(blob: memoryview):
+    """Yield (chunk_id, payload view) pairs of a RIFF body, checking lengths."""
     off = 12
     while off < len(blob):
         if off + 8 > len(blob):
             raise TruncatedWavError("chunk header extends past end of file")
-        cid = blob[off : off + 4]
+        cid = bytes(blob[off : off + 4])
         (size,) = struct.unpack_from("<I", blob, off + 4)
         start = off + 8
         if start + size > len(blob):
@@ -119,7 +119,7 @@ def read_wav(path, session_rate: int | None = None) -> AudioBuffer:
 
     fmt = None
     data = None
-    for cid, payload in _iter_chunks(blob):
+    for cid, payload in _iter_chunks(memoryview(blob)):  # views: the payload is not copied
         if cid == b"fmt " and fmt is None:
             if len(payload) < 16:
                 raise TruncatedWavError(f"{path}: fmt chunk too short")
@@ -172,27 +172,26 @@ def write_wav(buffer: AudioBuffer, path, format: str = "float32") -> None:
         x = np.clip(x, -1.0, 1.0)
 
     if format == "pcm16":
-        ints = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
-        payload = ints.tobytes()
-        audio_format, bits = _FMT_PCM, 16
+        payload = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
+        audio_format = _FMT_PCM
     elif format == "float32":
-        payload = x.astype("<f4").tobytes()
-        audio_format, bits = _FMT_IEEE_FLOAT, 32
+        payload = x.astype("<f4")
+        audio_format = _FMT_IEEE_FLOAT
     else:
         raise ValueError(f"unknown wav format {format!r}; expected one of {WAV_FORMATS}")
 
-    block_align = bits // 8
-    byte_rate = buffer.sample_rate * block_align
-    fmt_chunk = struct.pack(
-        "<HHIIHH", audio_format, 1, buffer.sample_rate, byte_rate, block_align, bits
+    # both sample sizes are even, so the data chunk needs no pad byte
+    block_align = payload.itemsize
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + payload.nbytes, b"WAVE",
+        b"fmt ", 16, audio_format, 1, buffer.sample_rate,
+        buffer.sample_rate * block_align, block_align, 8 * block_align,
+        b"data", payload.nbytes,
     )
-    body = b"WAVE"
-    body += b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
-    body += b"data" + struct.pack("<I", len(payload)) + payload
-    if len(payload) & 1:
-        body += b"\x00"
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        fh.write(header)
+        fh.write(payload)  # the array's own buffer, not a bytes copy
 
 
 # ---------------------------------------------------------------------------

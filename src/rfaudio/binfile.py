@@ -5,15 +5,37 @@ payloads in the order its format lists them. :class:`Reader` is strict: a
 file that ends inside a field, holds a non-finite float, or has bytes after
 the last field raises the caller's error type with the path in the message.
 :class:`Writer` emits the same fields in the same order and refuses to
-write a non-finite float.
+write a non-finite float. :func:`write_atomically` is how every rfaudio
+file that a later command reads back (checkpoint, sidecar, manifest) is
+put in place.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
+
+
+def write_atomically(path, chunks) -> None:
+    """Write the byte ``chunks`` to a temporary file beside ``path``, then rename it.
+
+    A reader sees the old file or the whole new one, never a part of the
+    new one. A write that fails removes the temporary file and leaves an
+    existing ``path`` as it was.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with open(partial, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 class Reader:
@@ -69,9 +91,9 @@ class Reader:
 class Writer:
     """Sequential writer; use as a context manager.
 
-    The fields are kept in memory and the file is written only when the block
-    exits cleanly, so a failed save leaves no file and an existing one keeps
-    its bytes.
+    The fields are kept in memory and the file is written through
+    :func:`write_atomically` only when the block exits cleanly, so a failed
+    save, in the fields or in the write, leaves an existing file as it was.
     """
 
     def __init__(self, path, magic: bytes):
@@ -83,8 +105,7 @@ class Writer:
 
     def __exit__(self, exc_type, *exc) -> None:
         if exc_type is None:
-            with open(self.path, "wb") as fh:
-                fh.writelines(self._chunks)
+            write_atomically(self.path, self._chunks)
 
     def fields(self, fmt: str, *values) -> None:
         self._chunks.append(struct.pack(fmt, *values))

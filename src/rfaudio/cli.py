@@ -31,7 +31,7 @@ from .dataforge import (
 from .evalkit import embed_stats, energy_distance, frechet_distance, mel_summary_embedding
 from .flow import LatentCodec, TrainingDiverged, load_model, sample, save_model, train
 from .model import FlowModel
-from .spectral import MelSpectrogram, griffin_lim, lsd, mel_spectrogram
+from .spectral import griffin_lim, lsd, mel_spectrogram
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -118,8 +118,8 @@ class ManifestDataset:
             yield latents, bundle
 
 
-def _corpus_mels(root: Path, config: RunConfig, min_items: int):
-    """(items, source mels, target mels) of a forged corpus under ``root``."""
+def _corpus_items(root: Path, min_items: int) -> list[dict]:
+    """The manifest items of a forged corpus under ``root``."""
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise DataError(f"no manifest.json under {root}")
@@ -129,6 +129,12 @@ def _corpus_mels(root: Path, config: RunConfig, min_items: int):
         raise DataError(str(exc)) from exc
     if len(items) < min_items:
         raise DataError(f"manifest {manifest_path} lists fewer than {min_items} items")
+    return items
+
+
+def _corpus_mels(root: Path, config: RunConfig, min_items: int):
+    """(items, source mels, target mels) of a forged corpus under ``root``."""
+    items = _corpus_items(root, min_items)
     try:
         source_mels = [mel_spectrogram(read_wav(root / item["source_path"]), config.mel)
                        for item in items]
@@ -283,7 +289,7 @@ def _cmd_edit(args, config: RunConfig) -> int:
     if codec is None:
         raise DataError("checkpoint has no codec; editing operates on audio corpora")
     try:
-        source = read_wav(args.source)
+        source = read_wav(args.source, session_rate=codec.config.sample_rate)
         source_mel = mel_spectrogram(source, codec.config)
     except (ValueError, OSError) as exc:
         raise DataError(f"cannot analyze source audio: {exc}") from exc
@@ -300,56 +306,73 @@ def _cmd_edit(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _folder_mels(folder: Path, config: RunConfig) -> dict[str, MelSpectrogram]:
+def _folder_wavs(folder: Path) -> dict[str, Path]:
+    """The ``.wav`` files of ``folder`` by name; at least two are required."""
     if not folder.is_dir():
         raise DataError(f"not a directory: {folder}")
-    wavs = sorted(p for p in folder.iterdir() if p.suffix == ".wav")
+    wavs = {p.name: p for p in folder.iterdir() if p.suffix == ".wav"}
     if len(wavs) < 2:
         raise DataError(f"need at least 2 wav files in {folder}, found {len(wavs)}")
-    try:
-        return {p.name: mel_spectrogram(read_wav(p), config.mel) for p in wavs}
-    except (ValueError, OSError) as exc:
-        raise DataError(f"failed to analyze {folder}: {exc}") from exc
+    return wavs
 
 
-def _metric_report(mels_a, mels_b, pairs) -> dict:
-    if len(mels_a) < 2 or len(mels_b) < 2:
-        raise DataError("need at least 2 clips per side for distribution metrics")
-    emb_a = np.stack([mel_summary_embedding(m) for m in mels_a])
-    emb_b = np.stack([mel_summary_embedding(m) for m in mels_b])
-    stats_a = embed_stats(emb_a, embedder=np.asarray)
-    stats_b = embed_stats(emb_b, embedder=np.asarray)
-    lsd_values = []
-    for a, b in pairs:
-        if a.frames.shape != b.frames.shape:
-            raise DataError(
-                f"paired clips must share mel shape, got {a.frames.shape} vs {b.frames.shape}"
-            )
-        lsd_values.append(lsd(a, b))
-    return {
+def _metric_report(path_pairs, config: RunConfig) -> tuple[dict, dict]:
+    """(metrics, counts) over ``(path_a, path_b)`` pairs, streamed.
+
+    Either path of a pair may be None: that clip has no partner on the other
+    side and adds only its embedding. Each clip is read and analysed when its
+    pair comes up and dropped after it, keeping one summary embedding per
+    clip and one ``lsd`` per complete pair, so memory does not grow with the
+    clip count beyond those rows.
+    """
+    emb_a, emb_b, lsd_values = [], [], []
+    for path_a, path_b in path_pairs:
+        try:
+            mel_a = None if path_a is None else mel_spectrogram(read_wav(path_a), config.mel)
+            mel_b = None if path_b is None else mel_spectrogram(read_wav(path_b), config.mel)
+        except (ValueError, OSError) as exc:
+            raise DataError(f"failed to analyze eval audio: {exc}") from exc
+        if mel_a is not None:
+            emb_a.append(mel_summary_embedding(mel_a))
+        if mel_b is not None:
+            emb_b.append(mel_summary_embedding(mel_b))
+        if mel_a is not None and mel_b is not None:
+            if mel_a.frames.shape != mel_b.frames.shape:
+                raise DataError(
+                    f"paired clips must share mel shape, got {mel_a.frames.shape} vs "
+                    f"{mel_b.frames.shape}"
+                )
+            lsd_values.append(lsd(mel_a, mel_b))
+    emb_a, emb_b = np.stack(emb_a), np.stack(emb_b)
+    metrics = {
         "lsd": float(np.mean(lsd_values)) if lsd_values else None,
-        "fad-proxy": frechet_distance(stats_a, stats_b),
+        "fad-proxy": frechet_distance(embed_stats(emb_a, embedder=np.asarray),
+                                      embed_stats(emb_b, embedder=np.asarray)),
         "energy-distance": energy_distance(emb_a, emb_b),
     }
+    return metrics, {"a": len(emb_a), "b": len(emb_b), "pairs": len(lsd_values)}
 
 
 def _cmd_eval(args, config: RunConfig) -> int:
     if args.manifest is not None:
-        _items, mels_a, mels_b = _corpus_mels(Path(args.manifest), config, min_items=2)
-        pairs = list(zip(mels_a, mels_b))
+        root = Path(args.manifest)
+        path_pairs = (
+            (root / item["source_path"], root / item["target_path"])
+            for item in _corpus_items(root, min_items=2)
+        )
     else:
         if args.dir_a is None or args.dir_b is None:
             raise ConfigError("eval needs either --manifest or both --dir-a and --dir-b")
-        by_name_a = _folder_mels(Path(args.dir_a), config)
-        by_name_b = _folder_mels(Path(args.dir_b), config)
-        common = sorted(set(by_name_a) & set(by_name_b))
-        mels_a = list(by_name_a.values())
-        mels_b = list(by_name_b.values())
-        pairs = [(by_name_a[name], by_name_b[name]) for name in common]
+        wavs_a = _folder_wavs(Path(args.dir_a))
+        wavs_b = _folder_wavs(Path(args.dir_b))
+        # in name order, each side's clips keep their order and pairs match by name
+        path_pairs = ((wavs_a.get(name), wavs_b.get(name))
+                      for name in sorted(wavs_a.keys() | wavs_b.keys()))
 
+    metrics, counts = _metric_report(path_pairs, config)
     report = {
-        "metrics": _metric_report(mels_a, mels_b, pairs),
-        "counts": {"a": len(mels_a), "b": len(mels_b), "pairs": len(pairs)},
+        "metrics": metrics,
+        "counts": counts,
         "config": to_dict(config),
         "seeds": {"seed": config.seed},
     }

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -36,6 +35,7 @@ from .audio import (
     vad_activity_ratio,
     write_wav,
 )
+from .binfile import write_atomically
 
 log = logging.getLogger(__name__)
 
@@ -166,7 +166,10 @@ class SyntheticLibrary:
     Every event label has ``SYNTHETIC_VARIANTS`` clips (``"<label>/v<k>"``)
     built from closed-form primitives: tones, chirps, band-passed noise
     bursts, click trains, and frequency-modulated warbles. Clips regenerate bit-identically
-    on every :meth:`resolve` call, so the library needs no storage.
+    on every :meth:`resolve` call, so the library needs no storage. The
+    ``SYNTHETIC_VARIANTS`` noise backgrounds cost far more to make than a
+    clip and every scene needs one, so each is made once per library and
+    handed out as a read-only array.
     """
 
     def __init__(
@@ -184,6 +187,7 @@ class SyntheticLibrary:
         self.clip_seconds = float(clip_seconds)
         self.background_seconds = float(background_seconds)
         self.seed = int(seed)
+        self._backgrounds: dict[int, np.ndarray] = {}
         self._generators: dict[str, Callable[[np.ndarray, int, np.random.Generator], np.ndarray]] = {
             "sine tone": self._sine_tone,
             "low hum": self._low_hum,
@@ -218,9 +222,14 @@ class SyntheticLibrary:
     def resolve(self, clip_id: str) -> AudioBuffer:
         label, variant = self._parse(clip_id)
         if label == BACKGROUND_LABEL:
-            n = int(round(self.background_seconds * self.sample_rate))
-            rng = np.random.default_rng([self.seed, 0x6267, variant])
-            return AudioBuffer(0.1 * _pink_noise(rng, n), self.sample_rate)
+            samples = self._backgrounds.get(variant)
+            if samples is None:
+                n = int(round(self.background_seconds * self.sample_rate))
+                rng = np.random.default_rng([self.seed, 0x6267, variant])
+                samples = 0.1 * _pink_noise(rng, n)
+                samples.setflags(write=False)
+                self._backgrounds[variant] = samples
+            return AudioBuffer(samples, self.sample_rate)
         n = int(round(self.clip_seconds * self.sample_rate))
         t = np.arange(n, dtype=np.float64) / self.sample_rate
         label_index = self.labels().index(label)
@@ -637,9 +646,7 @@ def write_manifest(triplets: Sequence[EditTriplet], root, config: dict | None = 
     if config is not None:
         payload["config"] = config
     path = Path(root) / MANIFEST_NAME
-    partial = path.with_name(f".{MANIFEST_NAME}.partial")
-    partial.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(partial, path)
+    write_atomically(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
     return path
 
 

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Tensor, no_grad, tmean
+from .binfile import write_atomically
 from .conditioning import (
     CONDITION_DROPOUT_P,
     ConditioningBundle,
@@ -459,7 +460,9 @@ def save_model(path, model: FlowModel, codec: LatentCodec | None = None, seed=No
 
     The sidecar records the model config, the toy vocabulary when one is
     bundled, the codec normalization stats, and the training seed, so
-    :func:`load_model` can rebuild the exact model.
+    :func:`load_model` can rebuild the exact model. Each file is replaced
+    atomically, so a save that fails keeps the previous file; the two are
+    written one after the other, not as one unit.
     """
     save_checkpoint(path, model.params, model.step)
     meta = {
@@ -469,7 +472,7 @@ def save_model(path, model: FlowModel, codec: LatentCodec | None = None, seed=No
         "step": model.step,
         "stats": codec.to_dict() if codec is not None and codec.fitted else None,
     }
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True))
+    write_atomically(_sidecar_path(path), [json.dumps(meta, indent=2, sort_keys=True).encode()])
 
 
 def load_model(path):

@@ -15,6 +15,11 @@ import numpy as np
 
 from .audio import AudioBuffer, _frame_stft, _hann_periodic, _overlap_add
 
+#: analysis frames per block in :func:`mel_spectrogram`; every frame is
+#: computed by the same arithmetic whatever the block, so the size changes
+#: no result, only the scratch the call holds
+MEL_BLOCK_FRAMES = 128
+
 
 @dataclass(frozen=True)
 class MelConfig:
@@ -101,8 +106,8 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def stft(buffer: AudioBuffer, cfg: MelConfig) -> ComplexSpectrogram:
-    """Hann-windowed, non-centered STFT."""
+def _check_buffer(buffer: AudioBuffer, cfg: MelConfig) -> None:
+    """Refuse a buffer at another rate than ``cfg`` or shorter than one frame."""
     if buffer.sample_rate != cfg.sample_rate:
         raise ValueError(
             f"buffer rate {buffer.sample_rate} != config rate {cfg.sample_rate}"
@@ -110,6 +115,11 @@ def stft(buffer: AudioBuffer, cfg: MelConfig) -> ComplexSpectrogram:
     n = len(buffer)
     if n < cfg.n_fft:
         raise ValueError(f"buffer shorter than one frame ({n} < {cfg.n_fft})")
+
+
+def stft(buffer: AudioBuffer, cfg: MelConfig) -> ComplexSpectrogram:
+    """Hann-windowed, non-centered STFT."""
+    _check_buffer(buffer, cfg)
     window = _hann_periodic(cfg.n_fft)
     frames = _frame_stft(buffer.samples, cfg.n_fft, cfg.hop, window)
     return ComplexSpectrogram(cfg, frames)
@@ -146,11 +156,33 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
 
 
 def mel_spectrogram(buffer: AudioBuffer, cfg: MelConfig) -> MelSpectrogram:
-    """Natural-log mel power: log(filterbank @ |stft|^2 + log_floor)."""
-    spec = stft(buffer, cfg)
-    power = np.abs(spec.frames) ** 2
-    mel_power = power @ mel_filterbank(cfg).T
-    frames = np.log(mel_power + cfg.log_floor).astype(np.float32)
+    """Natural-log mel power: log(filterbank @ |stft|^2 + log_floor).
+
+    Frames are analysed ``MEL_BLOCK_FRAMES`` at a time through scratch
+    allocated once per call, so beyond the output the call holds a few
+    ``[MEL_BLOCK_FRAMES, n_fft]`` arrays whatever the clip length. Each
+    frame takes the same arithmetic as the whole-array formula, bit for bit.
+    """
+    _check_buffer(buffer, cfg)
+    t = cfg.frame_count(len(buffer))
+    framed = np.lib.stride_tricks.sliding_window_view(buffer.samples, cfg.n_fft)[:: cfg.hop]
+    window = _hann_periodic(cfg.n_fft)
+    fb_t = mel_filterbank(cfg).T
+    rows = min(t, MEL_BLOCK_FRAMES)
+    windowed = np.empty((rows, cfg.n_fft))
+    spec = np.empty((rows, cfg.n_bins), dtype=np.complex128)
+    power = np.empty((rows, cfg.n_bins))
+    mel_power = np.empty((rows, cfg.n_mels))
+    frames = np.empty((t, cfg.n_mels), dtype=np.float32)
+    for r0 in range(0, t, MEL_BLOCK_FRAMES):
+        n = min(t - r0, MEL_BLOCK_FRAMES)
+        np.multiply(framed[r0 : r0 + n], window, out=windowed[:n])
+        np.fft.rfft(windowed[:n], axis=1, out=spec[:n])
+        np.abs(spec[:n], out=power[:n])
+        np.square(power[:n], out=power[:n])
+        np.matmul(power[:n], fb_t, out=mel_power[:n])
+        mel_power[:n] += cfg.log_floor
+        np.log(mel_power[:n], out=frames[r0 : r0 + n])
     return MelSpectrogram(cfg, frames)
 
 

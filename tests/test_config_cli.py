@@ -2,15 +2,17 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rfaudio
-from rfaudio.audio import read_wav
+from rfaudio.audio import AudioBuffer, read_wav, write_wav
 from rfaudio.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -23,8 +25,9 @@ from rfaudio.cli import (
     toy_vocabulary,
 )
 from rfaudio.config import ConfigError, RunConfig, from_dict, load_run_config, to_dict
-from rfaudio.dataforge import MANIFEST_VERSION
-from rfaudio.spectral import mel_spectrogram
+from rfaudio.dataforge import MANIFEST_VERSION, ForgeConfig, SyntheticLibrary, forge_corpus
+from rfaudio.evalkit import embed_stats, energy_distance, frechet_distance, mel_summary_embedding
+from rfaudio.spectral import lsd, mel_spectrogram
 
 TINY_CFG = {
     "session_rate": 8000,
@@ -511,8 +514,126 @@ class TestEditCommand:
         capsys.readouterr()
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("rate", [22050, 48000])
+    def test_source_at_another_rate(self, workspace, tmp_path, capsys, rate):
+        """A source at another rate than the codec's is resampled on load."""
+        t = np.arange(rate) / rate
+        source = tmp_path / f"tone-{rate}.wav"
+        write_wav(AudioBuffer(0.3 * np.sin(2 * np.pi * 440.0 * t), rate), source)
+        rc = main(["edit", "--config", workspace["cfg"],
+                   "--checkpoint", workspace["ckpt"], "--source", str(source),
+                   "--instruction", "remove the tone", "--out", str(tmp_path / "out.wav"),
+                   "--gl-iters", "2"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == EXIT_OK
+        mel = load_run_config(workspace["cfg"]).mel
+        assert report["source_frames"] == report["output_frames"] == mel.frame_count(mel.sample_rate)
+
+    def test_source_at_codec_rate_not_resampled(self, workspace, tmp_path, capsys, monkeypatch):
+        manifest = json.loads((workspace["data"] / "manifest.json").read_text())
+        source = workspace["data"] / manifest["items"][0]["source_path"]
+
+        def refuse(*args):
+            raise AssertionError("a source at the codec rate was resampled")
+
+        monkeypatch.setattr(rfaudio.audio, "resample", refuse)
+        rc = main(["edit", "--config", workspace["cfg"],
+                   "--checkpoint", workspace["ckpt"], "--source", str(source),
+                   "--instruction", "x", "--out", str(tmp_path / "out.wav"), "--gl-iters", "2"])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def eval_folders(workspace):
+    """Two WAV folders cut from the workspace corpus that share only some names.
+
+    The names sort out of numeric order (``clip10`` before ``clip2``), and a
+    shared name holds a different clip on each side.
+    """
+    wavs = sorted((workspace["data"] / "audio").iterdir())
+    dir_a, dir_b = workspace["root"] / "eval-a", workspace["root"] / "eval-b"
+    dir_a.mkdir()
+    dir_b.mkdir()
+    for i in range(1, len(wavs) + 1):
+        if i % 3:
+            shutil.copy(wavs[i - 1], dir_a / f"clip{i}.wav")
+        if i % 2 == 0:
+            shutil.copy(wavs[i % len(wavs)], dir_b / f"clip{i}.wav")
+    return dir_a, dir_b
+
+
+def whole_corpus_metrics(paths_a, paths_b, pairs, mel_config) -> dict:
+    """Eval's metrics computed with every clip's mel held at once."""
+    mels = {p: mel_spectrogram(read_wav(p), mel_config) for p in {*paths_a, *paths_b}}
+    emb_a = np.stack([mel_summary_embedding(mels[p]) for p in paths_a])
+    emb_b = np.stack([mel_summary_embedding(mels[p]) for p in paths_b])
+    return {
+        "lsd": float(np.mean([lsd(mels[a], mels[b]) for a, b in pairs])),
+        "fad-proxy": frechet_distance(embed_stats(emb_a, embedder=np.asarray),
+                                      embed_stats(emb_b, embedder=np.asarray)),
+        "energy-distance": energy_distance(emb_a, emb_b),
+    }
+
 
 class TestEvalCommand:
+    #: eval's metrics on the workspace corpus and on ``eval_folders``, recorded
+    #: before eval streamed its clips
+    RECORDED = {
+        "manifest": ({"energy-distance": 9.608127578070444, "fad-proxy": 469.1117507745872,
+                      "lsd": 32.5481329680007}, {"a": 5, "b": 5, "pairs": 5}),
+        "folders": ({"energy-distance": 1.7358182863364553, "fad-proxy": 167.2244642016437,
+                     "lsd": 21.922909343812325}, {"a": 7, "b": 5, "pairs": 4}),
+    }
+
+    @pytest.mark.parametrize("mode", ["manifest", "folders"])
+    def test_report_matches_whole_corpus_computation(self, workspace, eval_folders, capsys,
+                                                     mode):
+        """Streaming changes no byte of the report, whichever way the clips are named."""
+        config = load_run_config(workspace["cfg"])
+        if mode == "manifest":
+            root = workspace["data"]
+            items = json.loads((root / "manifest.json").read_text())["items"]
+            paths_a = [root / item["source_path"] for item in items]
+            paths_b = [root / item["target_path"] for item in items]
+            pairs = list(zip(paths_a, paths_b))
+            argv = ["--manifest", str(root)]
+        else:
+            dir_a, dir_b = eval_folders
+            paths_a, paths_b = (sorted(d.iterdir()) for d in eval_folders)
+            common = sorted({p.name for p in paths_a} & {p.name for p in paths_b})
+            pairs = [(dir_a / name, dir_b / name) for name in common]
+            argv = ["--dir-a", str(dir_a), "--dir-b", str(dir_b)]
+        assert main(["eval", "--config", workspace["cfg"], *argv]) == EXIT_OK
+        out = capsys.readouterr().out
+        metrics, counts = self.RECORDED[mode]
+        want = {
+            "metrics": whole_corpus_metrics(paths_a, paths_b, pairs, config.mel),
+            "counts": counts,
+            "config": to_dict(config),
+            "seeds": {"seed": config.seed},
+        }
+        assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+        for name, value in metrics.items():
+            assert want["metrics"][name] == pytest.approx(value, rel=1e-9), name
+
+    def test_memory_does_not_grow_with_corpus(self, tmp_path, capsys):
+        """Three times the pairs, about the same peak: eval holds one pair at a time."""
+        library = SyntheticLibrary(sample_rate=44100, clip_seconds=1.0,
+                                   background_seconds=4.0, seed=0)
+        peaks = {}
+        for items in (2, 6):
+            root = tmp_path / str(items)
+            forge_corpus(library, root, ForgeConfig(items_per_task=items, duration_s=4.0, seed=5))
+            tracemalloc.start()
+            try:
+                assert main(["eval", "--manifest", str(root)]) == EXIT_OK
+                peaks[items] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[6] <= 1.25 * peaks[2], {k: f"{v / 2**20:.1f} MB" for k, v in peaks.items()}
+
     def test_folder_vs_itself_is_zero(self, workspace, capsys):
         audio_dir = str(workspace["data"] / "audio")
         rc = main(["eval", "--config", workspace["cfg"],

@@ -34,6 +34,7 @@ from rfaudio.dataforge import (
     vad_stage,
     write_manifest,
     write_triplet_audio,
+    _pink_noise,
 )
 from rfaudio.audio import write_wav
 from rfaudio.cli import EXIT_DATA, main
@@ -182,6 +183,28 @@ class TestSyntheticLibrary:
         for label in LIB.labels():
             clip = LIB.resolve(f"{label}/v0")
             assert vad_activity_ratio(clip) >= 0.4, label
+
+    def test_background_cached_read_only(self):
+        lib = SyntheticLibrary(sample_rate=RATE, clip_seconds=0.5, background_seconds=2.0, seed=3)
+        first = lib.resolve("background/v1")
+        again = lib.resolve("background/v1")
+        assert np.array_equal(first.samples, again.samples)
+        with pytest.raises(ValueError, match="read-only"):
+            again.samples[0] = 1.0
+        assert np.array_equal(first.samples, LIB.resolve("background/v1").samples)
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 4}, {"sample_rate": 16000}, {"background_seconds": 3.0},
+    ], ids=["seed", "rate", "duration"])
+    def test_background_cache_not_shared(self, change):
+        """After another library warmed its cache, a library differing in one setting
+        still hands out the background its own settings make."""
+        settings = dict(sample_rate=RATE, clip_seconds=0.5, background_seconds=2.0, seed=3)
+        SyntheticLibrary(**settings).resolve("background/v0")
+        other = SyntheticLibrary(**{**settings, **change})
+        n = int(round(other.background_seconds * other.sample_rate))
+        want = 0.1 * _pink_noise(np.random.default_rng([other.seed, 0x6267, 0]), n)
+        assert np.array_equal(other.resolve("background/v0").samples, want)
 
     def test_backgrounds_nonsilent_and_long(self):
         bg = LIB.resolve("background/v0")

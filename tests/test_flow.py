@@ -2,11 +2,12 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rfaudio import autodiff
+from rfaudio import autodiff, binfile
 from rfaudio.autodiff import Tensor
 from rfaudio.cli import ToyModesDataset, build_toy_model
 from rfaudio.conditioning import ConditioningBundle, FeatureSeq, FrameFeatures
@@ -646,6 +647,41 @@ class TestSaveLoad:
         assert meta["config"]["width"] == TINY.width
         assert meta["stats"] is None
         assert meta["seed"] == 4
+
+    @pytest.mark.parametrize("failing_file", ["model.ckpt", "model.ckpt.json"])
+    def test_failed_save_keeps_previous_files(self, tmp_path, monkeypatch, failing_file):
+        """A save that dies partway through a file leaves the old checkpoint and sidecar."""
+        path = tmp_path / "model.ckpt"
+        old = FlowModel(TINY, seed=0, toy_vocab=["dog"])
+        save_model(path, old, seed=1)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def open_failing_partway(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            if Path(file).name != f".{failing_file}.partial":
+                return fh
+
+            def writelines(chunks):
+                fh.write(b"".join(chunks)[:20])
+                raise OSError(28, "No space left on device")
+
+            fh.writelines = writelines
+            return fh
+
+        monkeypatch.setattr(binfile, "open", open_failing_partway, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_model(path, FlowModel(TINY, seed=9, toy_vocab=["dog"]), seed=2)
+        monkeypatch.undo()
+
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert set(after) == {"model.ckpt", "model.ckpt.json"}
+        assert after[failing_file] == before[failing_file]
+        loaded, _, meta = load_model(path)
+        assert meta["seed"] == 1
+        if failing_file == "model.ckpt":
+            assert after == before
+            for p in old.params:
+                assert np.array_equal(loaded.params[p.name].data, p.data)
 
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         model = FlowModel(TINY, seed=0, toy_vocab=["dog"])

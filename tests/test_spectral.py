@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rfaudio.audio import AudioBuffer
 from rfaudio.spectral import (
+    MEL_BLOCK_FRAMES,
     MelConfig,
     MelSpectrogram,
     griffin_lim,
@@ -161,6 +164,39 @@ class TestMelSpectrogram:
         mel = mel_spectrogram(AudioBuffer(rng.uniform(-0.3, 0.3, 1500), 8000), cfg)
         assert mel.frames.dtype == np.float32
         assert mel.frames.min() >= np.float32(np.log(cfg.log_floor))
+
+    @pytest.mark.parametrize("cfg", [MelConfig(), CFG_SMALL], ids=["default", "small"])
+    @pytest.mark.parametrize("frames", [
+        1, MEL_BLOCK_FRAMES - 1, MEL_BLOCK_FRAMES, MEL_BLOCK_FRAMES + 1, 1719,
+    ])
+    def test_blocked_matches_whole_array_formula(self, rng, cfg, frames):
+        """Analysing in blocks gives the whole-array formula's frames, bit for bit."""
+        x = rng.uniform(-0.5, 0.5, cfg.n_fft + (frames - 1) * cfg.hop + cfg.hop - 1)
+        framed = np.lib.stride_tricks.sliding_window_view(x, cfg.n_fft)[:: cfg.hop][:frames]
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
+        power = np.abs(np.fft.rfft(framed * window, axis=1)) ** 2
+        want = np.log(power @ mel_filterbank(cfg).T + cfg.log_floor).astype(np.float32)
+        got = mel_spectrogram(AudioBuffer(x, cfg.sample_rate), cfg).frames
+        assert got.shape == (frames, cfg.n_mels)
+        assert np.array_equal(got, want)
+
+    def test_memory_flat_in_clip_length(self, rng):
+        """Six times the clip, about the same peak beyond the output itself."""
+        cfg = MelConfig()
+        peaks, out_bytes = {}, {}
+        for seconds in (10, 60):
+            buf = AudioBuffer(rng.uniform(-0.5, 0.5, seconds * cfg.sample_rate), cfg.sample_rate)
+            tracemalloc.start()
+            try:
+                mel = mel_spectrogram(buf, cfg)
+                peaks[seconds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out_bytes[seconds] = mel.frames.nbytes
+            del buf, mel
+        assert peaks[60] <= 1.25 * peaks[10] + out_bytes[60], {
+            k: f"{v / 2**20:.1f} MB" for k, v in peaks.items()
+        }
 
 
 class TestGriffinLim:
