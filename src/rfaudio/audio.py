@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -86,21 +87,86 @@ _FMT_IEEE_FLOAT = 3
 WAV_FORMATS = ("float32", "pcm16")
 
 
-def _iter_chunks(blob: memoryview):
-    """Yield (chunk_id, payload view) pairs of a RIFF body, checking lengths."""
+class _WavHeader(NamedTuple):
+    dtype: str  # "<i2" (PCM16) or "<f4" (IEEE float32)
+    n_channels: int
+    rate: int
+    data_offset: int
+    data_size: int
+
+    @property
+    def n_frames(self) -> int:
+        return self.data_size // np.dtype(self.dtype).itemsize // self.n_channels
+
+
+def _iter_chunks(fh, file_size: int):
+    """Yield (chunk_id, payload offset, payload size) of a RIFF body, checking lengths.
+
+    Only the 8-byte chunk headers are read; payloads are skipped by seeking.
+    """
     off = 12
-    while off < len(blob):
-        if off + 8 > len(blob):
+    while off < file_size:
+        if off + 8 > file_size:
             raise TruncatedWavError("chunk header extends past end of file")
-        cid = bytes(blob[off : off + 4])
-        (size,) = struct.unpack_from("<I", blob, off + 4)
+        fh.seek(off)
+        cid, size = struct.unpack("<4sI", fh.read(8))
         start = off + 8
-        if start + size > len(blob):
+        if start + size > file_size:
             raise TruncatedWavError(
-                f"chunk {cid!r} declares {size} bytes but only {len(blob) - start} remain"
+                f"chunk {cid!r} declares {size} bytes but only {file_size - start} remain"
             )
-        yield cid, blob[start : start + size]
+        yield cid, start, size
         off = start + size + (size & 1)  # chunks are word-aligned
+
+
+def _read_wav_header(fh, path) -> _WavHeader:
+    """Parse and check the RIFF/WAVE header of the open file ``fh``."""
+    file_size = os.fstat(fh.fileno()).st_size
+    riff = fh.read(12)
+    if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
+        raise UnsupportedWavError(f"{path}: not a RIFF/WAVE container")
+
+    fmt = None
+    data = None
+    for cid, start, size in _iter_chunks(fh, file_size):
+        if cid == b"fmt " and fmt is None:
+            if size < 16:
+                raise TruncatedWavError(f"{path}: fmt chunk too short")
+            fh.seek(start)
+            fmt = struct.unpack("<HHIIHH", fh.read(16))
+        elif cid == b"data" and data is None:
+            data = (start, size)
+    if fmt is None or data is None:
+        raise TruncatedWavError(f"{path}: missing fmt or data chunk")
+
+    audio_format, n_channels, rate, _byte_rate, block_align, bits = fmt
+    if n_channels < 1:
+        raise UnsupportedWavError(f"{path}: channel count {n_channels}")
+    if rate < 1:
+        raise UnsupportedWavError(f"{path}: sample rate {rate}")
+    if audio_format == _FMT_PCM and bits == 16:
+        dtype = "<i2"
+    elif audio_format == _FMT_IEEE_FLOAT and bits == 32:
+        dtype = "<f4"
+    else:
+        raise UnsupportedWavError(
+            f"{path}: unsupported codec (format tag {audio_format}, {bits}-bit)"
+        )
+    data_offset, data_size = data
+    if block_align and data_size % block_align:
+        raise TruncatedWavError(f"{path}: data chunk is not a whole number of frames")
+    return _WavHeader(dtype, n_channels, rate, data_offset, data_size)
+
+
+def wav_duration_s(path) -> float:
+    """Duration of a WAV file in seconds, read from its header alone.
+
+    Equals ``read_wav(path).duration_s`` and raises the same errors for a
+    missing file or a malformed header; the samples are not decoded.
+    """
+    with open(path, "rb") as fh:
+        header = _read_wav_header(fh, path)
+    return header.n_frames / header.rate
 
 
 def read_wav(path, session_rate: int | None = None) -> AudioBuffer:
@@ -113,47 +179,20 @@ def read_wav(path, session_rate: int | None = None) -> AudioBuffer:
     for other codecs, ``TruncatedWavError`` for short containers.
     """
     with open(path, "rb") as fh:  # missing file -> FileNotFoundError, distinct
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise UnsupportedWavError(f"{path}: not a RIFF/WAVE container")
-
-    fmt = None
-    data = None
-    for cid, payload in _iter_chunks(memoryview(blob)):  # views: the payload is not copied
-        if cid == b"fmt " and fmt is None:
-            if len(payload) < 16:
-                raise TruncatedWavError(f"{path}: fmt chunk too short")
-            fmt = struct.unpack_from("<HHIIHH", payload, 0)
-        elif cid == b"data" and data is None:
-            data = payload
-    if fmt is None or data is None:
-        raise TruncatedWavError(f"{path}: missing fmt or data chunk")
-
-    audio_format, n_channels, rate, _byte_rate, block_align, bits = fmt
-    if n_channels < 1:
-        raise UnsupportedWavError(f"{path}: channel count {n_channels}")
-    if rate < 1:
-        raise UnsupportedWavError(f"{path}: sample rate {rate}")
-    if audio_format == _FMT_PCM and bits == 16:
-        raw = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    elif audio_format == _FMT_IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4")
-        samples = raw.astype(np.float64)
-    else:
-        raise UnsupportedWavError(
-            f"{path}: unsupported codec (format tag {audio_format}, {bits}-bit)"
-        )
-    if block_align and len(data) % block_align:
-        raise TruncatedWavError(f"{path}: data chunk is not a whole number of frames")
-
-    if n_channels > 1:
-        usable = samples.size - samples.size % n_channels
-        samples = samples[:usable].reshape(-1, n_channels).mean(axis=1)
+        header = _read_wav_header(fh, path)
+        fh.seek(header.data_offset)
+        data = fh.read(header.data_size)
+    # whole frames only: a trailing partial frame is dropped
+    count = header.n_frames * header.n_channels
+    samples = np.frombuffer(data, dtype=header.dtype, count=count).astype(np.float64)
+    if header.dtype == "<i2":
+        samples /= 32768.0
+    if header.n_channels > 1:
+        samples = samples.reshape(-1, header.n_channels).mean(axis=1)
     if samples.size and not np.all(np.isfinite(samples)):
         raise WavError(f"{path}: non-finite samples in float data")
 
-    buf = AudioBuffer(samples, int(rate))
+    buf = AudioBuffer(samples, header.rate)
     if session_rate is not None and session_rate != buf.sample_rate:
         buf = resample(buf, session_rate)
     return buf
@@ -341,19 +380,43 @@ def _frame_stft(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.n
     return np.fft.rfft(frames * window, axis=1)
 
 
+def _add_frames(acc: np.ndarray, frames: np.ndarray, hop: int) -> None:
+    """``acc[j*hop : j*hop + n_fft] += frames[j]`` for every frame ``j``.
+
+    Each ``hop``-wide chunk of the frames goes in as one whole-array add; a
+    last chunk narrower than ``hop`` (when ``hop`` does not divide ``n_fft``)
+    takes the same path. The chunks go in descending order, so every sample
+    receives its frames in ascending frame order, as a frame-by-frame loop
+    adds them, and the sums are that loop's bit for bit.
+    """
+    n, n_fft = frames.shape
+    if n == 0:
+        return
+    for lo in reversed(range(0, n_fft, hop)):
+        width = min(hop, n_fft - lo)
+        span = acc[lo : lo + (n - 1) * hop + width]
+        rows = np.lib.stride_tricks.sliding_window_view(span, width, writeable=True)[::hop]
+        rows += frames[:, lo : lo + width]
+
+
+def _window_norm(window: np.ndarray, t: int, hop: int) -> np.ndarray:
+    """Sum of squared windows over ``t`` frames, the least-squares normaliser.
+
+    Samples no window covers (sum <= 1e-12) read 1, so dividing by the
+    result leaves them as they are.
+    """
+    norm = np.zeros(window.size + (t - 1) * hop)
+    _add_frames(norm, np.broadcast_to(window**2, (t, window.size)), hop)
+    norm[norm <= 1e-12] = 1.0
+    return norm
+
+
 def _overlap_add(frames_c: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
     """Least-squares inverse STFT: overlap-add then divide by sum(window^2)."""
     t = frames_c.shape[0]
-    out_len = n_fft + (t - 1) * hop
-    acc = np.zeros(out_len, dtype=np.float64)
-    norm = np.zeros(out_len, dtype=np.float64)
-    frames = np.fft.irfft(frames_c, n=n_fft, axis=1) * window
-    w2 = window**2
-    for j in range(t):
-        acc[j * hop : j * hop + n_fft] += frames[j]
-        norm[j * hop : j * hop + n_fft] += w2
-    covered = norm > 1e-12
-    acc[covered] /= norm[covered]
+    acc = np.zeros(n_fft + (t - 1) * hop)
+    _add_frames(acc, np.fft.irfft(frames_c, n=n_fft, axis=1) * window, hop)
+    acc /= _window_norm(window, t, hop)
     return acc
 
 

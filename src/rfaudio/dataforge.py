@@ -33,6 +33,7 @@ from .audio import (
     read_wav,
     time_stretch,
     vad_activity_ratio,
+    wav_duration_s,
     write_wav,
 )
 from .binfile import write_atomically
@@ -333,13 +334,16 @@ class FolderLibrary:
         return list(self._clips.get(BACKGROUND_LABEL, []))
 
     def clip_duration_s(self, clip_id: str) -> float:
-        return self.resolve(clip_id).duration_s
+        return wav_duration_s(self._path(clip_id))
 
     def resolve(self, clip_id: str) -> AudioBuffer:
+        return read_wav(self._path(clip_id))
+
+    def _path(self, clip_id: str) -> Path:
         label, _, stem = clip_id.partition("/")
         if label not in self._clips or clip_id not in self._clips[label]:
             raise KeyError(f"unknown clip id {clip_id!r}")
-        return read_wav(self.root / label / f"{stem}.wav")
+        return self.root / label / f"{stem}.wav"
 
 
 # ---------------------------------------------------------------------------

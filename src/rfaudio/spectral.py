@@ -13,7 +13,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, _frame_stft, _hann_periodic, _overlap_add
+from .audio import (
+    AudioBuffer,
+    _add_frames,
+    _frame_stft,
+    _hann_periodic,
+    _overlap_add,
+    _window_norm,
+)
 
 #: analysis frames per block in :func:`mel_spectrogram`; every frame is
 #: computed by the same arithmetic whatever the block, so the size changes
@@ -204,13 +211,23 @@ def _nnls_step_size(cfg: MelConfig) -> float:
 
 
 def _mel_to_linear_power(mel_power: np.ndarray, cfg: MelConfig) -> np.ndarray:
-    """Projected-gradient NNLS (50 steps): find P >= 0 with P @ FB.T ~= mel_power."""
+    """Projected-gradient NNLS (50 steps): find P >= 0 with P @ FB.T ~= mel_power.
+
+    The steps run in place on whole arrays: products over row blocks would
+    take other BLAS kernels and change the result's bits.
+    """
     fb = _filterbank_cached(cfg)  # [M, bins]
-    step = _nnls_step_size(cfg)
+    scale = _nnls_step_size(cfg) * 2.0
     p = mel_power @ fb  # adjoint init, non-negative
+    resid = np.empty_like(mel_power)
+    grad = np.empty_like(p)
     for _ in range(50):
-        resid = p @ fb.T - mel_power
-        p = np.maximum(0.0, p - step * 2.0 * (resid @ fb))
+        np.matmul(p, fb.T, out=resid)
+        resid -= mel_power
+        np.matmul(resid, fb, out=grad)
+        grad *= scale
+        p -= grad
+        np.maximum(0.0, p, out=p)
     return p
 
 
@@ -223,26 +240,75 @@ def griffin_lim(
     (50 inner steps), then phases are recovered by alternating projection
     with zero initial phase. The returned trace holds the linear-magnitude
     mismatch after each iteration; it is non-increasing.
+
+    Each iteration is one pass over blocks of ``MEL_BLOCK_FRAMES`` frames:
+    window the block's frames out of the current signal, ``rfft``, project
+    onto the target magnitudes, ``irfft``, window, and overlap-add straight
+    into the next signal. Beyond block scratch the call holds the
+    ``[T, n_bins]`` magnitudes, two signals and their window normaliser,
+    whatever the clip length; the samples are those of the whole-array
+    iteration, bit for bit.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if target_mel.n_frames == 0:
+        raise ValueError("griffin_lim: the target mel spectrogram has no frames")
     cfg = target_mel.config
-    lin_power = _mel_to_linear_power(target_mel.power(), cfg)
-    mag = np.sqrt(lin_power)
+    n_fft, hop = cfg.n_fft, cfg.hop
+    mag = _mel_to_linear_power(target_mel.power(), cfg)
+    np.sqrt(mag, out=mag)
+    t = mag.shape[0]
+    window = _hann_periodic(n_fft)
+    # per call, not cached per length: a forge makes many vocoder lengths
+    norm = _window_norm(window, t, hop)
+    signal = np.zeros(norm.size)
+    spare = np.empty(norm.size)
+    rows = min(t, MEL_BLOCK_FRAMES)
+    frames_buf = np.empty((rows, n_fft))
+    spec_buf = np.empty((rows, cfg.n_bins), dtype=np.complex128)
+    abs_buf = np.empty((rows, cfg.n_bins))
 
-    spec = mag.astype(np.complex128)  # zero initial phase
+    def blocks():
+        """(first frame, that block's frames, spectra, magnitudes, targets)."""
+        for r0 in range(0, t, MEL_BLOCK_FRAMES):
+            n = min(t - r0, MEL_BLOCK_FRAMES)
+            yield r0, frames_buf[:n], spec_buf[:n], abs_buf[:n], mag[r0 : r0 + n]
+
+    def synthesise(r0, frames, spec, out):
+        np.fft.irfft(spec, n=n_fft, axis=1, out=frames)
+        frames *= window
+        _add_frames(out[r0 * hop :], frames, hop)
+
+    for r0, frames, spec, _, target in blocks():  # zero initial phase
+        np.copyto(spec, target)
+        synthesise(r0, frames, spec, signal)
+    signal /= norm
+
     trace = []
     for _ in range(iterations):
-        x = istft(spec, cfg)
-        re = _frame_stft(x.samples, cfg.n_fft, cfg.hop, _hann_periodic(cfg.n_fft))
-        a = np.abs(re)
-        trace.append(float(np.linalg.norm(a - mag)))
-        # mag * re / |re| keeps the phase of re; a zero bin takes phase 0
-        dead = a == 0
-        re[dead] = 1.0
-        a[dead] = 1.0
-        spec = re * (mag / a)
-    out = istft(spec, cfg)
+        framed = np.lib.stride_tricks.sliding_window_view(signal, n_fft)[::hop]
+        spare.fill(0.0)
+        sq_err = 0.0
+        for r0, frames, spec, a, target in blocks():
+            np.multiply(framed[r0 : r0 + len(frames)], window, out=frames)
+            np.fft.rfft(frames, axis=1, out=spec)
+            np.abs(spec, out=a)
+            if return_trace:
+                err = (a - target).ravel()
+                sq_err += float(err @ err)
+            # mag * re / |re| keeps the phase of re; a zero bin takes phase 0
+            dead = a == 0.0
+            if dead.any():
+                np.copyto(spec, 1.0, where=dead)
+                np.copyto(a, 1.0, where=dead)
+            np.divide(target, a, out=a)
+            spec *= a
+            synthesise(r0, frames, spec, spare)
+        spare /= norm
+        signal, spare = spare, signal
+        if return_trace:
+            trace.append(float(np.sqrt(sq_err)))
+    out = AudioBuffer(signal, cfg.sample_rate)
     if return_trace:
         return out, trace
     return out

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rfaudio import audio
 from rfaudio.audio import (
     RESAMPLER_BLOCK_ROWS,
     RESAMPLER_TAPS,
@@ -18,6 +19,7 @@ from rfaudio.audio import (
     resample_to_length,
     time_stretch,
     vad_activity_ratio,
+    wav_duration_s,
     write_wav,
 )
 
@@ -136,6 +138,62 @@ class TestWavIO:
         back = read_wav(p, session_rate=44100)
         assert back.sample_rate == 44100
         assert len(back) == 44100
+
+
+def wav_bytes(fmt_fields, payload, extra_chunk=b""):
+    """A RIFF/WAVE file: fmt chunk, optional extra chunk, data chunk."""
+    fmt = struct.pack("<HHIIHH", *fmt_fields)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + extra_chunk
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+class TestWavDuration:
+    @pytest.mark.parametrize("codec", ["pcm16", "float32"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_header_duration_equals_decoded(self, tmp_path, rng, codec, channels):
+        rate, frames = 22050, 1001
+        x = rng.uniform(-0.5, 0.5, (frames, channels))
+        if codec == "pcm16":
+            payload, tag, width = (x * 32768).astype("<i2").tobytes(), 1, 2
+        else:
+            payload, tag, width = x.astype("<f4").tobytes(), 3, 4
+        align = channels * width
+        # a LIST chunk of odd size, so the walker must skip its pad byte
+        extra = b"LIST" + struct.pack("<I", 5) + b"INFO!" + b"\x00"
+        p = tmp_path / "d.wav"
+        p.write_bytes(wav_bytes((tag, channels, rate, rate * align, align, 8 * width),
+                                payload, extra))
+        decoded = read_wav(p)
+        assert len(decoded) == frames
+        assert wav_duration_s(p) == decoded.duration_s
+
+    @pytest.mark.parametrize("damage, error", [
+        ("codec", UnsupportedWavError),
+        ("rate", UnsupportedWavError),
+        ("cut", TruncatedWavError),
+        ("extra byte", TruncatedWavError),
+    ])
+    def test_bad_header_same_error_as_read(self, tmp_path, damage, error):
+        p = tmp_path / "bad.wav"
+        write_wav(AudioBuffer(np.zeros(1000), 8000), p, format="pcm16")
+        blob = bytearray(p.read_bytes())
+        if damage == "codec":
+            blob[20:22] = (2).to_bytes(2, "little")  # fmt chunk's format tag
+        elif damage == "rate":
+            blob[24:28] = (0).to_bytes(4, "little")
+        elif damage == "cut":
+            blob = blob[: len(blob) // 2]
+        else:
+            blob += b"\x00"
+        p.write_bytes(bytes(blob))
+        for reader in (read_wav, wav_duration_s):
+            with pytest.raises(error):
+                reader(p)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            wav_duration_s(tmp_path / "nope.wav")
 
 
 class TestMixAtSnr:
@@ -329,6 +387,17 @@ class TestVocoder:
         out = pitch_shift(pitch_shift(buf, 3.0), -3.0)
         assert len(out) == len(buf)
         assert abs(dominant_bin(out.samples, 16000) - dominant_bin(buf.samples, 16000)) <= 1
+
+    @pytest.mark.parametrize("hop", [256, 300])
+    @pytest.mark.parametrize("factor", [0.8, 1.0, 1.25])
+    def test_stretch_matches_loop_overlap_add(self, monkeypatch, loop_overlap_add, hop, factor):
+        """Chunked overlap-add, also at a hop that does not divide the FFT size."""
+        buf = sine(440, 0.5, 16000)
+        monkeypatch.setattr(audio, "VOCODER_HOP", hop)
+        got = time_stretch(buf, factor)
+        monkeypatch.setattr(audio, "_overlap_add", loop_overlap_add)
+        want = time_stretch(buf, factor)
+        assert got.samples.tobytes() == want.samples.tobytes()
 
     def test_stretch_rejects_nonpositive(self):
         with pytest.raises(ValueError):

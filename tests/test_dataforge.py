@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rfaudio.audio import AudioBuffer, read_wav, vad_activity_ratio
+from rfaudio import dataforge
 from rfaudio.dataforge import (
     DESK_ITEMS_PER_TASK,
     PITCH_RANGE,
@@ -249,6 +250,18 @@ class TestFolderLibrary:
         assert np.array_equal(got.samples, want)
         assert got.sample_rate == RATE
         assert lib.clip_duration_s("warble/v0") == pytest.approx(0.5)
+
+    def test_duration_from_header_alone(self, folder_root, monkeypatch):
+        lib = FolderLibrary(folder_root)
+        want = {c: lib.resolve(c).duration_s for c in ("warble/v0", "background/v0")}
+
+        def no_decode(path, session_rate=None):
+            raise AssertionError(f"decoded {path}")
+
+        monkeypatch.setattr(dataforge, "read_wav", no_decode)
+        assert {c: lib.clip_duration_s(c) for c in want} == want
+        with pytest.raises(KeyError):
+            lib.clip_duration_s("warble/v7")
 
     def test_unknown_clip(self, folder_root):
         lib = FolderLibrary(folder_root)

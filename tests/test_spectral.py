@@ -20,6 +20,39 @@ from rfaudio.spectral import (
 )
 
 CFG_SMALL = MelConfig(sample_rate=8000, n_fft=256, hop=64, n_mels=40)
+#: a hop that does not divide n_fft, so overlap-add ends on a narrower chunk
+CFG_ODD_HOP = MelConfig(sample_rate=8000, n_fft=256, hop=96, n_mels=40)
+
+
+def hann(n):
+    return 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
+
+
+def reference_griffin_lim(target, iterations, overlap_add):
+    """Whole-array Griffin-Lim: every frame's spectrum at once, then ``overlap_add``."""
+    cfg = target.config
+    fb = mel_filterbank(cfg)
+    step = 1.0 / (2.0 * np.linalg.norm(fb, 2) ** 2)
+    mel_power = target.power()
+    p = mel_power @ fb
+    for _ in range(50):
+        resid = p @ fb.T - mel_power
+        p = np.maximum(0.0, p - step * 2.0 * (resid @ fb))
+    mag = np.sqrt(p)
+    window = hann(cfg.n_fft)
+    spec = mag.astype(np.complex128)
+    trace = []
+    for _ in range(iterations):
+        x = overlap_add(spec, cfg.n_fft, cfg.hop, window)
+        framed = np.lib.stride_tricks.sliding_window_view(x, cfg.n_fft)[:: cfg.hop]
+        re = np.fft.rfft(framed * window, axis=1)
+        a = np.abs(re)
+        trace.append(float(np.linalg.norm(a - mag)))
+        dead = a == 0
+        re[dead] = 1.0
+        a[dead] = 1.0
+        spec = re * (mag / a)
+    return overlap_add(spec, cfg.n_fft, cfg.hop, window), trace
 
 
 def sine(freq, dur_s, sr, amp=0.5):
@@ -98,6 +131,17 @@ class TestStft:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="short"):
             stft(AudioBuffer(np.zeros(100), 8000), CFG_SMALL)
+
+    @pytest.mark.parametrize(
+        "n_fft, hop", [(256, 64), (256, 96), (1024, 300), (16, 5), (16, 16), (16, 1)]
+    )
+    @pytest.mark.parametrize("frames", [1, 2, 7, 129])
+    def test_istft_matches_loop_reference(self, rng, loop_overlap_add, n_fft, hop, frames):
+        """Chunked overlap-add sums each sample as the frame loop does, bit for bit."""
+        cfg = MelConfig(sample_rate=8000, n_fft=n_fft, hop=hop, n_mels=1)
+        spec = np.fft.rfft(rng.standard_normal((frames, n_fft)), axis=1)
+        want = loop_overlap_add(spec, n_fft, hop, hann(n_fft))
+        assert istft(spec, cfg).samples.tobytes() == want.tobytes()
 
     def test_istft_reconstructs(self, rng):
         cfg = CFG_SMALL
@@ -234,6 +278,46 @@ class TestGriffinLim:
         lsd1 = lsd(mel_spectrogram(out1, cfg), target)
         lsd60 = lsd(mel_spectrogram(out60, cfg), target)
         assert lsd60 < lsd1
+
+    @pytest.mark.parametrize(
+        "cfg", [MelConfig(), CFG_SMALL, CFG_ODD_HOP], ids=["default", "small", "odd_hop"]
+    )
+    @pytest.mark.parametrize("frames", [
+        1, MEL_BLOCK_FRAMES - 1, MEL_BLOCK_FRAMES, MEL_BLOCK_FRAMES + 1, 1719,
+    ])
+    def test_blocked_matches_whole_array_reference(self, rng, loop_overlap_add, cfg, frames):
+        """Block passes give the whole-array iteration's samples, bit for bit."""
+        x = rng.uniform(-0.5, 0.5, cfg.n_fft + (frames - 1) * cfg.hop)
+        target = mel_spectrogram(AudioBuffer(x, cfg.sample_rate), cfg)
+        got, trace = griffin_lim(target, iterations=4, return_trace=True)
+        want, want_trace = reference_griffin_lim(target, 4, loop_overlap_add)
+        assert got.samples.tobytes() == want.tobytes()
+        # the mismatch is summed per block, so only its last bits may move
+        assert trace == pytest.approx(want_trace, rel=1e-12, abs=0.0)
+        for a, b in zip(trace, trace[1:]):
+            assert b <= a * (1 + 1e-9) + 1e-12
+
+    def test_empty_target_rejected(self):
+        target = MelSpectrogram(CFG_SMALL, np.zeros((0, CFG_SMALL.n_mels), dtype=np.float32))
+        with pytest.raises(ValueError, match="no frames"):
+            griffin_lim(target)
+
+    def test_memory_is_magnitudes_plus_two_signals(self, rng):
+        """On a 60 s target the peak stays within 3x the [T, n_bins] magnitudes."""
+        cfg = MelConfig()
+        t = cfg.frame_count(60 * cfg.sample_rate)
+        floor = np.log(cfg.log_floor)
+        target = MelSpectrogram(
+            cfg, rng.uniform(floor, 0.0, (t, cfg.n_mels)).astype(np.float32)
+        )
+        tracemalloc.start()
+        try:
+            griffin_lim(target, iterations=2)  # every iteration holds the same buffers
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mag_bytes = t * cfg.n_bins * 8
+        assert peak <= 3 * mag_bytes, f"{peak / mag_bytes:.2f}x the magnitudes"
 
     def test_trace_non_increasing(self, rng):
         cfg = CFG_SMALL
