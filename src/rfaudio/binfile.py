@@ -5,13 +5,15 @@ payloads in the order its format lists them. :class:`Reader` is strict: a
 file that ends inside a field, holds a non-finite float, or has bytes after
 the last field raises the caller's error type with the path in the message.
 :class:`Writer` emits the same fields in the same order and refuses to
-write a non-finite float. :func:`write_atomically` is how every rfaudio
+write a non-finite float. Both give the sha256 of the file's bytes without
+a second pass over the file. :func:`write_atomically` is how every rfaudio
 file that a later command reads back (checkpoint, sidecar, manifest) is
 put in place.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -20,21 +22,26 @@ from pathlib import Path
 import numpy as np
 
 
-def write_atomically(path, chunks) -> None:
+def write_atomically(path, chunks, *more) -> None:
     """Write the byte ``chunks`` to a temporary file beside ``path``, then rename it.
 
     A reader sees the old file or the whole new one, never a part of the
-    new one. A write that fails removes the temporary file and leaves an
-    existing ``path`` as it was.
+    new one. ``more`` holds further ``(path, chunks)`` files committed with
+    it: every temporary file is written before the first rename. A write
+    that fails removes the temporary files and leaves every existing file
+    as it was.
     """
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.partial")
+    files = [(Path(p), c) for p, c in [(path, chunks), *more]]
+    partials = [p.with_name(f".{p.name}.partial") for p, _ in files]
     try:
-        with open(partial, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(partial, path)
+        for partial, (_, file_chunks) in zip(partials, files):
+            with open(partial, "wb") as fh:
+                fh.writelines(file_chunks)
+        for partial, (target, _) in zip(partials, files):
+            os.replace(partial, target)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        for partial in partials:
+            partial.unlink(missing_ok=True)
         raise
 
 
@@ -53,6 +60,10 @@ class Reader:
 
     def fail(self, message: str) -> Exception:
         return self.error(f"{self.path}: {message}")
+
+    def sha256(self) -> str:
+        """Hex sha256 of the whole file as read."""
+        return hashlib.sha256(self._blob).hexdigest()
 
     def take(self, n: int) -> bytes:
         if self._off + n > len(self._blob):
@@ -94,18 +105,28 @@ class Writer:
     The fields are kept in memory and the file is written through
     :func:`write_atomically` only when the block exits cleanly, so a failed
     save, in the fields or in the write, leaves an existing file as it was.
+    Files added to ``companions`` as ``(path, chunks)`` are committed with
+    it in the same call.
     """
 
     def __init__(self, path, magic: bytes):
         self.path = path
         self._chunks = [magic]
+        self.companions: list[tuple] = []
 
     def __enter__(self) -> "Writer":
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
         if exc_type is None:
-            write_atomically(self.path, self._chunks)
+            write_atomically(self.path, self._chunks, *self.companions)
+
+    def sha256(self) -> str:
+        """Hex sha256 of the fields written so far."""
+        digest = hashlib.sha256()
+        for chunk in self._chunks:
+            digest.update(chunk)
+        return digest.hexdigest()
 
     def fields(self, fmt: str, *values) -> None:
         self._chunks.append(struct.pack(fmt, *values))

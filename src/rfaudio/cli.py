@@ -21,13 +21,7 @@ import numpy as np
 from .audio import read_wav, write_wav
 from .conditioning import FrameFeatures, mask_prompt
 from .config import ConfigError, DataError, RunConfig, load_run_config, to_dict
-from .dataforge import (
-    FULL_SCALE_ITEMS_PER_TASK,
-    FolderLibrary,
-    SyntheticLibrary,
-    forge_corpus,
-    load_manifest,
-)
+from .dataforge import MANIFEST_NAME, FolderLibrary, SyntheticLibrary, forge_corpus, load_manifest
 from .evalkit import embed_stats, energy_distance, frechet_distance, mel_summary_embedding
 from .flow import LatentCodec, TrainingDiverged, load_model, sample, save_model, train
 from .model import FlowModel
@@ -120,9 +114,9 @@ class ManifestDataset:
 
 def _corpus_items(root: Path, min_items: int) -> list[dict]:
     """The manifest items of a forged corpus under ``root``."""
-    manifest_path = root / "manifest.json"
+    manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
-        raise DataError(f"no manifest.json under {root}")
+        raise DataError(f"no {MANIFEST_NAME} under {root}")
     try:
         items = load_manifest(manifest_path)["items"]
     except ValueError as exc:
@@ -185,23 +179,19 @@ def _emit(report: dict, out_path: str | None = None) -> None:
 
 
 def _cmd_forge(args, config: RunConfig) -> int:
-    base_items = (
-        FULL_SCALE_ITEMS_PER_TASK if args.preset == "full-scale"
-        else config.forge.items_per_task
-    )
-    items = int(round(base_items * args.scale))
-    forge_config = replace(config.forge, items_per_task=items, seed=config.seed)
+    # the top-level seed drives the forge; the echo records the config that ran
+    config = replace(config, forge=replace(config.forge, seed=config.seed))
     if args.library is not None:
         library = FolderLibrary(args.library)
     else:
         library = SyntheticLibrary(
             sample_rate=config.session_rate,
-            clip_seconds=min(1.0, forge_config.duration_s / 2.0),
-            background_seconds=forge_config.duration_s,
+            clip_seconds=min(1.0, config.forge.duration_s / 2.0),
+            background_seconds=config.forge.duration_s,
             seed=config.seed,
         )
     root = Path(args.root) if args.root else Path(config.paths.data_root) / "forged"
-    summary = forge_corpus(library, root, forge_config, echo=to_dict(config))
+    summary = forge_corpus(library, root, config.forge, echo=to_dict(config))
     _emit({
         "manifest": str(summary.manifest_path),
         "counts": summary.counts,
@@ -415,7 +405,6 @@ def _checked(kind, accept, what: str):
 
 
 # comparisons with NaN are false, so these also refuse nan
-_SCALE = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 _SECONDS = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
@@ -452,9 +441,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("forge", parents=[common], help="generate an editing corpus")
     p.add_argument("--root", default=None, help="output dataset root")
-    p.add_argument("--preset", choices=("desk", "full-scale"), default="desk")
-    p.add_argument("--scale", type=_SCALE, default=1.0,
-                   help="multiplier on the preset's items per task")
     p.add_argument("--library", default=None,
                    help="clip library root (default: bundled synthetic clips)")
 

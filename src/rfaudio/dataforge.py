@@ -48,7 +48,6 @@ STRETCH_RANGE = (0.8, 1.2)
 
 DEFAULT_SCENE_SECONDS = 10.0
 DESK_ITEMS_PER_TASK = 150
-FULL_SCALE_ITEMS_PER_TASK = 150_000
 VAD_KEEP_THRESHOLD = 0.3
 
 BACKGROUND_LABEL = "background"
@@ -501,9 +500,6 @@ def make_triplet(
 # Filtering
 # ---------------------------------------------------------------------------
 
-FilterStage = tuple[str, Callable[[EditTriplet], bool]]
-
-
 class FilterReport(NamedTuple):
     kept: list[EditTriplet]
     rejected: dict[str, int]
@@ -522,73 +518,30 @@ def trimmed_stem(stem: AudioBuffer) -> AudioBuffer | None:
     return AudioBuffer(stem.samples[nonzero[0] : nonzero[-1] + 1].copy(), stem.sample_rate)
 
 
-def vad_stage(threshold: float = VAD_KEEP_THRESHOLD) -> FilterStage:
-    """Keep triplets whose trimmed event stem has activity ratio >= threshold."""
+def filter_pipeline(
+    candidates: Iterable[EditTriplet], vad_threshold: float = VAD_KEEP_THRESHOLD
+) -> FilterReport:
+    """Keep the triplets whose trimmed event stem is voice-active enough.
 
-    def keep(triplet: EditTriplet) -> bool:
+    A triplet is kept when the voice-activity ratio of its trimmed event
+    stem is at least ``vad_threshold``; an all-zero stem has ratio 0.0.
+    Returns the kept triplets in their original order and the rejection
+    count under ``"vad"``. Each rejection is logged; the kept/rejected
+    summary is the caller's.
+    """
+    kept: list[EditTriplet] = []
+    rejected = 0
+    for triplet in candidates:
         if triplet.event_stem is None:
             raise ValueError(f"triplet {triplet.id!r} carries no event stem to screen")
         trimmed = trimmed_stem(triplet.event_stem)
         ratio = 0.0 if trimmed is None else vad_activity_ratio(trimmed)
-        return ratio >= threshold
-
-    return ("vad", keep)
-
-
-def semantic_stage(
-    scorer: Callable[[EditTriplet], float] | None = None,
-    threshold: float = 0.5,
-) -> FilterStage:
-    """Keep triplets whose semantic score >= threshold.
-
-    The bundled default scorer returns 1.0 for everything: a stand-in for a
-    learned audio-text matcher, so the default pipeline is a pure pass-through
-    that still reports the stage in its counts.
-    """
-    if scorer is None:
-
-        def scorer(triplet: EditTriplet) -> float:
-            return 1.0
-
-    def keep(triplet: EditTriplet) -> bool:
-        score = float(scorer(triplet))
-        log.debug("semantic score %.3f for %s", score, triplet.id)
-        return score >= threshold
-
-    return ("semantic", keep)
-
-
-def default_stages(vad_threshold: float = VAD_KEEP_THRESHOLD) -> list[FilterStage]:
-    return [vad_stage(vad_threshold), semantic_stage()]
-
-
-def filter_pipeline(
-    candidates: Iterable[EditTriplet],
-    stages: Sequence[FilterStage] | None = None,
-) -> FilterReport:
-    """Run candidates through ordered keep/reject stages.
-
-    A triplet is charged to the first stage that rejects it; later stages
-    never see it. Returns the kept triplets (original order) and a rejection
-    count per stage, including zero counts for stages that rejected nothing.
-    Each rejection is logged; the kept/rejected summary is the caller's.
-    """
-    if stages is None:
-        stages = default_stages()
-    names = [name for name, _ in stages]
-    if len(set(names)) != len(names):
-        raise ValueError(f"stage names must be unique, got {names}")
-    rejected = {name: 0 for name in names}
-    kept: list[EditTriplet] = []
-    for triplet in candidates:
-        for name, keep in stages:
-            if not keep(triplet):
-                rejected[name] += 1
-                log.info("filter: rejected %s at stage %r", triplet.id, name)
-                break
-        else:
+        if ratio >= vad_threshold:
             kept.append(triplet)
-    return FilterReport(kept, rejected)
+        else:
+            rejected += 1
+            log.info("filter: rejected %s, voice-activity ratio %.3f", triplet.id, ratio)
+    return FilterReport(kept, {"vad": rejected})
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +632,7 @@ def load_manifest(path) -> dict:
 
 @dataclass(frozen=True)
 class ForgeConfig:
-    """Corpus-generation knobs. The default is the desk-scale preset."""
+    """Corpus-generation knobs. ``items_per_task`` alone sets the corpus size."""
 
     items_per_task: int = DESK_ITEMS_PER_TASK
     tasks: tuple[str, ...] = TASKS
@@ -775,9 +728,10 @@ def forge_corpus(
     and libraries are bit-identical and runs with different seeds diverge.
     Items are mutually independent, so the per-item loop is trivially
     parallelizable; generation runs single-process to keep outputs
-    reproducible everywhere. Forging streams: each triplet is built, screened by the filter stages,
-    written at once if kept, and then stripped to its manifest fields, so
-    one triplet's audio is in memory at a time whatever the corpus size.
+    reproducible everywhere. Forging streams: each triplet is built,
+    screened by :func:`filter_pipeline`, written at once if kept, and then
+    stripped to its manifest fields, so one triplet's audio is in memory at
+    a time whatever the corpus size.
     The manifest is written last and is the corpus's commit marker: an
     existing ``root/manifest.json`` is deleted before the first WAV is
     written, so a run that fails leaves no manifest. Returns the manifest
@@ -789,12 +743,10 @@ def forge_corpus(
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     (root / MANIFEST_NAME).unlink(missing_ok=True)
-    stages = default_stages(config.vad_threshold)
 
     kept_all: list[EditTriplet] = []
     counts: dict = {}
     for task_index, task in enumerate(config.tasks):
-        rejected = {name: 0 for name, _ in stages}
         kept_before = len(kept_all)
         for i in range(config.items_per_task):
             rng = np.random.default_rng([config.seed, task_index, i])
@@ -804,22 +756,17 @@ def forge_corpus(
                 task, scene, library, event_index,
                 triplet_id=f"{task}-{config.seed}-{i:06d}",
             )
-            report = filter_pipeline([triplet], stages)
-            for name, n in report.rejected.items():
-                rejected[name] += n
-            if report.kept:
+            if filter_pipeline([triplet], config.vad_threshold).kept:
                 write_triplet_audio(triplet, root, wav_format=config.wav_format)
                 kept_all.append(triplet)
             triplet.source_audio = triplet.target_audio = triplet.event_stem = None
+        kept = len(kept_all) - kept_before
         counts[task] = {
             "generated": config.items_per_task,
-            "kept": len(kept_all) - kept_before,
-            "rejected": rejected,
+            "kept": kept,
+            "rejected": {"vad": config.items_per_task - kept},
         }
-        log.info(
-            "filter: %s kept %d/%d; rejections %s",
-            task, counts[task]["kept"], config.items_per_task, rejected,
-        )
+        log.info("filter: %s kept %d/%d", task, kept, config.items_per_task)
 
     manifest_path = write_manifest(kept_all, root, config=echo)
     log.info("forged %d triplets into %s", len(kept_all), root)

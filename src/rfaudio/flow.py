@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Tensor, no_grad, tmean
-from .binfile import write_atomically
 from .conditioning import (
     CONDITION_DROPOUT_P,
     ConditioningBundle,
@@ -459,12 +458,12 @@ def save_model(path, model: FlowModel, codec: LatentCodec | None = None, seed=No
     """Write the parameter checkpoint plus a JSON sidecar.
 
     The sidecar records the model config, the toy vocabulary when one is
-    bundled, the codec normalization stats, and the training seed, so
-    :func:`load_model` can rebuild the exact model. Each file is replaced
-    atomically, so a save that fails keeps the previous file; the two are
-    written one after the other, not as one unit.
+    bundled, the codec normalization stats, the training seed and the
+    checkpoint's sha256, so :func:`load_model` can rebuild the exact model
+    and refuse a checkpoint from another save. Both files are written to
+    temporary names before either is renamed into place, so a save that
+    fails keeps the previous pair.
     """
-    save_checkpoint(path, model.params, model.step)
     meta = {
         "config": asdict(model.config),
         "toy_vocab": model.toy_vocab,
@@ -472,17 +471,22 @@ def save_model(path, model: FlowModel, codec: LatentCodec | None = None, seed=No
         "step": model.step,
         "stats": codec.to_dict() if codec is not None and codec.fitted else None,
     }
-    write_atomically(_sidecar_path(path), [json.dumps(meta, indent=2, sort_keys=True).encode()])
+    save_checkpoint(path, model.params, model.step, sidecar=lambda digest: (
+        _sidecar_path(path),
+        json.dumps({**meta, "checkpoint_sha256": digest}, indent=2, sort_keys=True).encode(),
+    ))
 
 
 def load_model(path):
     """Rebuild (model, codec, meta) from a checkpoint and its sidecar.
 
-    Custom replay providers are not serialized; re-attach them on the
-    returned model's conditioner if the original used any.
+    A checkpoint whose sha256 is not the one its sidecar records raises
+    ``ValueError``: the two files come from different saves. Custom replay
+    providers are not serialized; re-attach them on the returned model's
+    conditioner if the original used any.
     """
-    store, step = load_checkpoint(path)
     meta, config, codec = _read_sidecar(path)
+    store, step = load_checkpoint(path, sha256=meta["checkpoint_sha256"])
     _check_sizes(path, config, store)
     model = FlowModel(config, seed=meta.get("seed") or 0, toy_vocab=meta.get("toy_vocab"))
     loaded = set(store.names())
@@ -536,8 +540,8 @@ def _read_sidecar(path):
     """(meta, ModelConfig, codec or None) from a checkpoint's JSON sidecar.
 
     A sidecar that is not an object, or whose ``config``, ``seed``,
-    ``toy_vocab`` or ``stats`` is missing or malformed, raises ``ValueError``
-    naming the sidecar.
+    ``toy_vocab``, ``stats`` or ``checkpoint_sha256`` is missing or
+    malformed, raises ``ValueError`` naming the sidecar.
     """
     sidecar = _sidecar_path(path)
     meta = json.loads(sidecar.read_text())
@@ -554,6 +558,8 @@ def _read_sidecar(path):
         raise ValueError(f"{sidecar}: 'seed' must be null or an integer")
     if stats is not None and not isinstance(stats, dict):
         raise ValueError(f"{sidecar}: 'stats' must be null or an object")
+    if not isinstance(meta.get("checkpoint_sha256"), str):
+        raise ValueError(f"{sidecar}: 'checkpoint_sha256' must be the checkpoint's hex digest")
     try:
         return meta, ModelConfig(**config), LatentCodec.from_dict(stats) if stats else None
     except (KeyError, TypeError, ValueError) as exc:

@@ -166,8 +166,13 @@ def adamw_step(
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, params, step: int) -> None:
-    """Write parameters + moments + step counter. Parameters must be float32."""
+def save_checkpoint(path, params, step: int, sidecar=None) -> None:
+    """Write parameters + moments + step counter. Parameters must be float32.
+
+    ``sidecar``, if given, maps the checkpoint's sha256 hex digest to a
+    ``(path, bytes)`` file that is committed together with the checkpoint
+    (see :func:`~rfaudio.binfile.write_atomically`).
+    """
     plist = list(params)
     for p in plist:
         if p.data.dtype != np.float32:
@@ -183,13 +188,17 @@ def save_checkpoint(path, params, step: int) -> None:
             w.floats(p.data)
             w.floats(p.m)
             w.floats(p.v)
+        if sidecar is not None:
+            sidecar_path, data = sidecar(w.sha256())
+            w.companions.append((sidecar_path, [data]))
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, sha256: str | None = None):
     """Read a checkpoint; returns (ParamStore, step).
 
     A malformed file (see :class:`~rfaudio.binfile.Reader`), an unknown
-    version or a repeated record name raises ``ValueError`` naming the path.
+    version, a repeated record name or, when ``sha256`` is given, a file
+    whose hex digest differs from it raises ``ValueError`` naming the path.
     """
     r = Reader(path, CHECKPOINT_MAGIC, "checkpoint")
     version, step, count = r.fields("<IQI")
@@ -206,4 +215,6 @@ def load_checkpoint(path):
         p.m = r.floats(shape)
         p.v = r.floats(shape)
     r.end()
+    if sha256 is not None and r.sha256() != sha256:
+        raise r.fail(f"sha256 {r.sha256()} differs from the expected {sha256}")
     return store, step

@@ -276,19 +276,33 @@ class TestForgeCommand:
         for a, b in zip(wavs1, wavs2):
             assert a.read_bytes() == b.read_bytes()
 
-    def test_scale_shrinks_full_preset(self, tmp_path, capsys):
-        root = tmp_path / "scaled"
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = main(["forge", "--config", str(tmp_path / "nope.json")])
-        assert rc == EXIT_CONFIG  # missing config file
         capsys.readouterr()
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(TINY_CFG))
-        rc = main(["forge", "--config", str(cfg_path), "--root", str(root),
-                   "--preset", "full-scale", "--scale", "0.00002"])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", [["--scale", "1"], ["--preset", "desk"]],
+                             ids=["scale", "preset"])
+    def test_removed_size_flags_exit_before_work(self, flag, tmp_path, capsys):
+        """``forge.items_per_task`` alone sets the corpus size."""
+        root = tmp_path / "corpus"
+        rc = main(["forge", "--root", str(root), *flag])
+        err = json.loads(capsys.readouterr().err.strip())
+        assert rc == EXIT_CONFIG
+        assert "unknown config key" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_echo_records_the_settings_that_ran(self, workspace, tmp_path, capsys):
+        root = tmp_path / "echo"
+        assert main(["forge", "--config", workspace["cfg"], "--root", str(root),
+                     "--seed", "3", "--forge.items_per_task", "2"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
-        assert rc == EXIT_OK
-        # 150000 per task * 2e-5 = 3 items per task requested
-        assert all(c["generated"] == 3 for c in out["counts"].values())
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert all(c["generated"] == 2 for c in out["counts"].values())
+        for echo in (out["config"], manifest["config"]):
+            assert echo["seed"] == echo["forge"]["seed"] == 3
+            assert echo["forge"]["items_per_task"] == 2
+        assert all(item["id"].split("-")[1] == "3" for item in manifest["items"])
 
     def test_unknown_wav_format_rejected_before_work(self, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -747,9 +761,6 @@ class TestArgumentErrors:
         assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize("argv", [
-        ["forge", "--scale", "inf"],
-        ["forge", "--scale", "nan"],
-        ["forge", "--scale", "-1"],
         ["train", "--data", "toy", "--steps", "0"],
         ["sample", "--seconds", "inf"],
         ["sample", "--seconds", "nan"],
@@ -763,7 +774,6 @@ class TestArgumentErrors:
         """Refused at parse time, even with a missing checkpoint, writing nothing."""
         monkeypatch.chdir(tmp_path)
         paths = {
-            "forge": ["--root", "corpus"],
             "train": ["--out", "model.ckpt"],
             "sample": ["--checkpoint", "missing.ckpt", "--out", "out.wav"],
             "edit": ["--checkpoint", "missing.ckpt", "--out", "out.wav"],

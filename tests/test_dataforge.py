@@ -30,9 +30,7 @@ from rfaudio.dataforge import (
     load_manifest,
     make_triplet,
     manifest_item,
-    semantic_stage,
     trimmed_stem,
-    vad_stage,
     write_manifest,
     write_triplet_audio,
     _pink_noise,
@@ -462,48 +460,33 @@ class TestFiltering:
 
     def test_vad_uses_trimmed_extent(self):
         # 0.2 s of tone on a 2 s timeline: the padded ratio would be ~0.1,
-        # the trimmed ratio ~1.0. The stage must judge the trimmed stem.
+        # the trimmed ratio ~1.0. The screen must judge the trimmed stem.
         stem = placed_stem(sine_clip(0.2))
         assert vad_activity_ratio(stem) < 0.3
-        _, keep = vad_stage(0.3)
-        assert keep(triplet_with_stem(stem))
+        report = filter_pipeline([triplet_with_stem(stem)], 0.3)
+        assert len(report.kept) == 1 and report.rejected == {"vad": 0}
 
     def test_vad_rejects_silent_and_quiet(self):
-        _, keep = vad_stage(0.3)
-        assert not keep(triplet_with_stem(AudioBuffer(np.zeros(2 * RATE), RATE)))
-        quiet = placed_stem(sine_clip(0.3, amp=1e-4))
-        assert not keep(triplet_with_stem(quiet))
+        silent = triplet_with_stem(AudioBuffer(np.zeros(2 * RATE), RATE), "silent")
+        quiet = triplet_with_stem(placed_stem(sine_clip(0.3, amp=1e-4)), "quiet")
+        report = filter_pipeline([silent, quiet], 0.3)
+        assert report.kept == [] and report.rejected == {"vad": 2}
+
+    def test_zero_threshold_keeps_all_zero_stem(self):
+        silent = triplet_with_stem(AudioBuffer(np.zeros(2 * RATE), RATE))
+        assert filter_pipeline([silent], 0.0).kept == [silent]
 
     def test_vad_requires_stem(self):
-        _, keep = vad_stage()
         with pytest.raises(ValueError, match="stem"):
-            keep(triplet_with_stem(None))
-
-    def test_semantic_default_passes(self):
-        _, keep = semantic_stage()
-        assert keep(triplet_with_stem(placed_stem(sine_clip(0.3))))
-
-    def test_semantic_custom_scorer(self):
-        _, keep = semantic_stage(scorer=lambda t: 0.2, threshold=0.5)
-        assert not keep(triplet_with_stem(placed_stem(sine_clip(0.3))))
+            filter_pipeline([triplet_with_stem(None)])
 
     def test_pipeline_counts_first_failing_stage(self):
-        good = triplet_with_stem(placed_stem(sine_clip(0.3)), "good")
+        first = triplet_with_stem(placed_stem(sine_clip(0.3)), "first")
         silent = triplet_with_stem(AudioBuffer(np.zeros(2 * RATE), RATE), "silent")
-        other = triplet_with_stem(placed_stem(sine_clip(0.3)), "other")
-        stages = [vad_stage(0.3), semantic_stage(scorer=lambda t: 0.0 if t.id == "other" else 1.0)]
-        report = filter_pipeline([good, silent, other], stages)
-        assert [t.id for t in report.kept] == ["good"]
-        assert report.rejected == {"vad": 1, "semantic": 1}
-
-    def test_pipeline_default_stages_report_zero_counts(self):
-        report = filter_pipeline([triplet_with_stem(placed_stem(sine_clip(0.3)))])
-        assert len(report.kept) == 1
-        assert report.rejected == {"vad": 0, "semantic": 0}
-
-    def test_duplicate_stage_names_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            filter_pipeline([], [vad_stage(), vad_stage()])
+        last = triplet_with_stem(placed_stem(sine_clip(0.4)), "last")
+        report = filter_pipeline([first, silent, last])
+        assert [t.id for t in report.kept] == ["first", "last"]
+        assert report.rejected == {"vad": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +644,7 @@ class TestForgeCorpus:
         assert not list(tmp_path.rglob("*.wav"))
         for task in TASKS:
             assert summary.counts[task] == {
-                "generated": 3, "kept": 0, "rejected": {"vad": 3, "semantic": 0},
+                "generated": 3, "kept": 0, "rejected": {"vad": 3},
             }
 
     def test_failed_run_leaves_no_manifest(self, tmp_path, capsys):

@@ -5,7 +5,11 @@ flipped, and with one extra byte. A case must either load finite data or
 raise the reader's typed error; any other exception, or non-finite data
 that loads, fails the test. Every payload holds a value in [1, 2), whose
 float32 exponent is all ones but its top bit, so one flip makes it inf or NaN.
+A model checkpoint must also refuse a sidecar from another save.
 """
+
+import json
+import shutil
 
 import numpy as np
 import pytest
@@ -17,6 +21,9 @@ from rfaudio.conditioning import (
     read_feature_seq,
     write_feature_seq,
 )
+from rfaudio.cli import EXIT_DATA, main
+from rfaudio.flow import load_model, save_model
+from rfaudio.model import FlowModel, ModelConfig
 from rfaudio.optim import ParamStore, load_checkpoint, save_checkpoint
 
 
@@ -124,3 +131,43 @@ def test_non_finite_refused_at_save(tmp_path, write, existing):
         assert not path.exists()
     else:
         assert path.read_bytes() == existing
+
+
+MODEL = ModelConfig(d_lat=3, d_mel=3, d_sync=2, d_mm=4, d_trans=4, d_high=6,
+                    width=8, depth=1, heads=2, time_basis=8)
+
+
+def _saved_model(path, seed, vocab):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_model(path, FlowModel(MODEL, seed=seed, toy_vocab=vocab), seed=seed)
+    return path
+
+
+def test_checkpoint_from_another_save_refused(tmp_path, capsys):
+    """Same shapes, same names: only the recorded sha256 tells the pair apart."""
+    a = _saved_model(tmp_path / "a" / "model.ckpt", 1, ["dog"])
+    b = _saved_model(tmp_path / "b" / "model.ckpt", 2, ["cat"])
+    load_model(a)
+    shutil.copyfile(b, a)
+    with pytest.raises(ValueError, match="sha256") as info:
+        load_model(a)
+    assert str(a) in str(info.value)
+    rc = main(["sample", "--checkpoint", str(a), "--out", str(tmp_path / "x.wav")])
+    assert rc == EXIT_DATA
+    assert json.loads(capsys.readouterr().err)["error"] == "data"
+    assert not (tmp_path / "x.wav").exists()
+
+
+@pytest.mark.parametrize("digest", [None, "missing", 7], ids=["null", "missing", "int"])
+def test_sidecar_without_checkpoint_digest_refused(tmp_path, digest):
+    path = _saved_model(tmp_path / "model.ckpt", 1, ["dog"])
+    sidecar = tmp_path / "model.ckpt.json"
+    meta = json.loads(sidecar.read_text())
+    if digest == "missing":
+        del meta["checkpoint_sha256"]
+    else:
+        meta["checkpoint_sha256"] = digest
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="checkpoint_sha256") as info:
+        load_model(path)
+    assert str(sidecar) in str(info.value)

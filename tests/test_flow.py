@@ -1,5 +1,6 @@
 """Tests for the flow objective, trainer, sampler, and latent codec."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -647,6 +648,7 @@ class TestSaveLoad:
         assert meta["config"]["width"] == TINY.width
         assert meta["stats"] is None
         assert meta["seed"] == 4
+        assert meta["checkpoint_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("failing_file", ["model.ckpt", "model.ckpt.json"])
     def test_failed_save_keeps_previous_files(self, tmp_path, monkeypatch, failing_file):
