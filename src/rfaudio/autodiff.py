@@ -12,7 +12,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -104,6 +103,13 @@ class Tensor:
 
     # -- autograd ---------------------------------------------------------
     def backward(self, grad=None) -> None:
+        """Accumulate d(self)/d(leaf) into every recording leaf's ``.grad``.
+
+        Leaves add to any gradient they already hold. Every non-leaf node,
+        ``self`` included, has its ``.grad`` set to ``None`` as soon as its
+        own backward has run, so spent intermediate gradients do not live
+        until the walk ends.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar output")
@@ -122,7 +128,7 @@ class Tensor:
                 continue
             seen.add(id(node))
             if node._backward is not None:
-                node.grad = None  # a gradient left by an earlier backward is spent
+                node.grad = None  # left by an earlier backward that raised mid-walk
             work.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
@@ -135,6 +141,7 @@ class Tensor:
             if _DEBUG[0] and not np.all(np.isfinite(node.grad)):
                 raise NonFiniteError("non-finite gradient during backward")
             node._backward(node.grad)
+            node.grad = None
 
     # -- operators ----------------------------------------------------------
     def __add__(self, other):
@@ -352,7 +359,14 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(a: Tensor):
-    """Exact gelu: x * Phi(x) with the Gaussian CDF."""
+    """Exact gelu: x * Phi(x) with the Gaussian CDF.
+
+    scipy's ``erf`` is imported here, not at module top: gelu is the only
+    scipy call in the package, so commands that never run the network
+    (``forge``, ``eval``) start without loading ``scipy.special``.
+    """
+    from scipy.special import erf
+
     phi_cdf = 0.5 * (1.0 + erf(a.data / _SQRT2))
     data = (a.data * phi_cdf).astype(a.data.dtype, copy=False)
 

@@ -21,7 +21,14 @@ import numpy as np
 from .audio import read_wav, write_wav
 from .conditioning import FrameFeatures, mask_prompt
 from .config import ConfigError, DataError, RunConfig, load_run_config, to_dict
-from .dataforge import MANIFEST_NAME, FolderLibrary, SyntheticLibrary, forge_corpus, load_manifest
+from .dataforge import (
+    MANIFEST_NAME,
+    FolderLibrary,
+    ForgeConfig,
+    SyntheticLibrary,
+    forge_corpus,
+    load_manifest,
+)
 from .evalkit import embed_stats, energy_distance, frechet_distance, mel_summary_embedding
 from .flow import LatentCodec, TrainingDiverged, load_model, sample, save_model, train
 from .model import FlowModel
@@ -179,6 +186,11 @@ def _emit(report: dict, out_path: str | None = None) -> None:
 
 
 def _cmd_forge(args, config: RunConfig) -> int:
+    if config.forge.seed not in (ForgeConfig.seed, config.seed):
+        raise ConfigError(
+            f"forge.seed {config.forge.seed} differs from the top-level seed "
+            f"{config.seed}; set the forge's seed with --seed"
+        )
     # the top-level seed drives the forge; the echo records the config that ran
     config = replace(config, forge=replace(config.forge, seed=config.seed))
     if args.library is not None:

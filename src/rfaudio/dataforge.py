@@ -21,7 +21,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -188,25 +188,16 @@ class SyntheticLibrary:
         self.background_seconds = float(background_seconds)
         self.seed = int(seed)
         self._backgrounds: dict[int, np.ndarray] = {}
-        self._generators: dict[str, Callable[[np.ndarray, int, np.random.Generator], np.ndarray]] = {
-            "sine tone": self._sine_tone,
-            "low hum": self._low_hum,
-            "rising chirp": self._rising_chirp,
-            "falling chirp": self._falling_chirp,
-            "noise burst": self._noise_burst,
-            "click train": self._click_train,
-            "warble": self._warble,
-        }
 
     # -- catalogue ----------------------------------------------------------
 
     def labels(self) -> list[str]:
-        return sorted(self._generators)
+        return sorted(self._GENERATORS)
 
     def clip_ids(self, label: str) -> list[str]:
         if label == BACKGROUND_LABEL:
             return self.background_ids()
-        if label not in self._generators:
+        if label not in self._GENERATORS:
             raise KeyError(f"unknown label {label!r}")
         return [f"{label}/v{k}" for k in range(SYNTHETIC_VARIANTS)]
 
@@ -234,14 +225,14 @@ class SyntheticLibrary:
         t = np.arange(n, dtype=np.float64) / self.sample_rate
         label_index = self.labels().index(label)
         rng = np.random.default_rng([self.seed, label_index, variant])
-        samples = self._generators[label](t, variant, rng)
+        samples = self._GENERATORS[label](self, t, variant, rng)
         return AudioBuffer(samples, self.sample_rate)
 
     def _parse(self, clip_id: str) -> tuple[str, int]:
         label, sep, tail = clip_id.partition("/")
         if not sep or not tail.startswith("v"):
             raise KeyError(f"malformed clip id {clip_id!r}; expected '<label>/v<k>'")
-        if label != BACKGROUND_LABEL and label not in self._generators:
+        if label != BACKGROUND_LABEL and label not in self._GENERATORS:
             raise KeyError(f"unknown label {label!r}")
         try:
             variant = int(tail[1:])
@@ -299,6 +290,19 @@ class SyntheticLibrary:
         beta = 2.0 + 2.0 * variant
         phase = 2.0 * np.pi * 660.0 * t + beta * np.sin(2.0 * np.pi * 5.0 * t)
         return 0.25 * np.sin(phase) * _edge_fade(t.size, self.sample_rate)
+
+    # Label -> generator as plain functions on the class. A per-instance table
+    # of bound methods would make every library a reference cycle, so it and
+    # its background cache would outlive the forge until a full gc pass.
+    _GENERATORS = {
+        "sine tone": _sine_tone,
+        "low hum": _low_hum,
+        "rising chirp": _rising_chirp,
+        "falling chirp": _falling_chirp,
+        "noise burst": _noise_burst,
+        "click train": _click_train,
+        "warble": _warble,
+    }
 
 
 class FolderLibrary:

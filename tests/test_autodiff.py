@@ -297,6 +297,22 @@ class TestBackwardExactness:
         y.backward()
         assert np.allclose(x.grad, 5.0)
 
+    def test_backward_releases_non_leaf_gradients(self, rng):
+        """Intermediate gradients are dropped once spent; leaves keep and accumulate theirs."""
+        x = t64(rng, 3, 4)
+        w = t64(rng, 4, 2)
+        h = matmul(x, w)
+        y = sq(h)
+        loss = tsum(y)
+        loss.backward()
+        assert h.grad is None and y.grad is None and loss.grad is None
+        want = x.data.T @ (2.0 * h.data)
+        np.testing.assert_allclose(w.grad, want, rtol=1e-12)
+        assert x.grad.shape == (3, 4)
+        loss.backward()
+        assert h.grad is None and y.grad is None and loss.grad is None
+        np.testing.assert_allclose(w.grad, 2.0 * want, rtol=1e-12)
+
     def test_scalar_backward_requires_scalar(self, rng):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError):

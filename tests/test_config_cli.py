@@ -304,6 +304,29 @@ class TestForgeCommand:
             assert echo["forge"]["items_per_task"] == 2
         assert all(item["id"].split("-")[1] == "3" for item in manifest["items"])
 
+    @pytest.mark.parametrize("flags", [["--forge.seed", "7"],
+                                       ["--seed", "3", "--forge.seed", "7"]],
+                             ids=["forge-seed-alone", "seeds-disagree"])
+    def test_forge_seed_other_than_top_level_exits_2(self, flags, workspace, tmp_path, capsys):
+        """``forge.seed`` never picks the corpus, so a value the forge would ignore is refused."""
+        root = tmp_path / "corpus"
+        rc = main(["forge", "--config", workspace["cfg"], "--root", str(root), *flags])
+        err = json.loads(capsys.readouterr().err.strip())
+        assert rc == EXIT_CONFIG
+        assert err["error"] == "config" and "--seed" in err["message"]
+        assert not root.exists()
+
+    def test_forge_seed_matching_top_level_forges(self, workspace, tmp_path, capsys):
+        manifests = []
+        for flags in (["--seed", "7"], ["--seed", "7", "--forge.seed", "7"]):
+            root = tmp_path / str(len(manifests))
+            assert main(["forge", "--config", workspace["cfg"], "--root", str(root),
+                         *flags]) == EXIT_OK
+            manifests.append((root / "manifest.json").read_bytes())
+        capsys.readouterr()
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["config"]["forge"]["seed"] == 7
+
     def test_unknown_wav_format_rejected_before_work(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         rc = main(["forge", "--root", str(root), "--forge.wav_format", "pcm24"])
@@ -707,6 +730,38 @@ def test_malformed_manifest_items(workspace, tmp_path, capsys, command, items):
     err = json.loads(capsys.readouterr().err.strip())
     assert rc == EXIT_DATA
     assert err["error"] == "data"
+
+
+COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+import numpy as np
+from rfaudio import cli
+from rfaudio.autodiff import Tensor, gelu
+
+cfg, root = sys.argv[1:3]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["forge", "--config", cfg, "--root", root]) == 0
+    assert cli.main(["eval", "--config", cfg, "--manifest", root]) == 0
+before = sorted(name for name in sys.modules if name.startswith("scipy"))
+gelu(Tensor(np.zeros(2)))
+print(json.dumps({"before": before, "after": "scipy.special" in sys.modules}))
+"""
+
+
+def test_forge_and_eval_never_load_scipy(workspace, tmp_path):
+    """A fresh interpreter imports ``rfaudio.cli``, forges and evaluates on numpy
+    alone; scipy arrives with the first gelu."""
+    src = str(Path(rfaudio.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT, workspace["cfg"], str(tmp_path / "corpus")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["before"] == []
+    assert loaded["after"] is True
 
 
 class TestGradcheckCommand:

@@ -1,7 +1,9 @@
 """Tests for the edit-triplet forge: specs, composition, filtering, manifests."""
 
+import gc
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +206,20 @@ class TestSyntheticLibrary:
         n = int(round(other.background_seconds * other.sample_rate))
         want = 0.1 * _pink_noise(np.random.default_rng([other.seed, 0x6267, 0]), n)
         assert np.array_equal(other.resolve("background/v0").samples, want)
+
+    def test_dropped_library_frees_its_cache_at_once(self):
+        """No reference cycle: the last reference going frees the library and its
+        cached backgrounds, without waiting for the cyclic collector."""
+        lib = SyntheticLibrary(sample_rate=RATE, clip_seconds=0.5, background_seconds=2.0)
+        lib.resolve("background/v0")
+        lib.resolve("warble/v1")
+        dropped = weakref.ref(lib)
+        gc.disable()
+        try:
+            del lib
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_backgrounds_nonsilent_and_long(self):
         bg = LIB.resolve("background/v0")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -395,6 +396,30 @@ class TestRfLoss:
         loss = rf_loss(self.make_batch(model, rng, 2), model, rng, dropout_p=0.0)
         loss.backward()
         assert model.params["dit.in.w"].tensor.grad is not None
+
+    def test_backward_memory_excludes_spent_gradients(self):
+        """A taped default-model step's backward holds far less than one gradient
+        per tape node, which is what keeping every intermediate gradient costs."""
+        T = 200
+        model = FlowModel(ModelConfig(), seed=0)
+        x0 = np.random.default_rng(0).standard_normal((T, model.config.d_lat))
+        batch = [(x0.astype(np.float32), model.conditioner.assemble(T))]
+        loss = rf_loss(batch, model, np.random.default_rng(1), dropout_p=0.0)
+        tape_bytes, seen, work = 0, set(), [loss]
+        while work:
+            node = work.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                tape_bytes += node.data.nbytes if node._parents else 0
+                work.extend(node._parents)
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.params["dit.in.w"].tensor.grad is not None
+        assert peak < 0.75 * tape_bytes, f"peak {peak / 1e6:.1f} MB, tape {tape_bytes / 1e6:.1f} MB"
 
     def test_rf_loss_pinned(self):
         """Loss and gradients of a seeded, perturbed model, compared exactly
