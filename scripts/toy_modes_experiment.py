@@ -27,7 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rfaudio.cli import TOY_MODE_SIGMA, ToyModesDataset, toy_mode_centers, toy_vocabulary
+from rfaudio.data import TOY_MODE_SIGMA, ToyModesDataset, toy_mode_centers, toy_vocabulary
 from rfaudio.evalkit import energy_distance
 from rfaudio.flow import SamplerConfig, TrainConfig, cfg_velocity, sample_batch, train
 from rfaudio.model import FlowModel, ModelConfig

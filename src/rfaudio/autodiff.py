@@ -17,7 +17,6 @@ __all__ = [
     "Tensor",
     "NonFiniteError",
     "no_grad",
-    "set_debug",
     "matmul",
     "reshape",
     "transpose",
@@ -35,11 +34,10 @@ __all__ = [
 
 
 class NonFiniteError(FloatingPointError):
-    """A non-finite value appeared in an op output (debug mode) or gradient."""
+    """A non-finite gradient, or a non-finite value met by :func:`gradcheck`."""
 
 
 _GRAD_ENABLED = [True]
-_DEBUG = [False]
 
 
 class no_grad:
@@ -52,16 +50,6 @@ class no_grad:
     def __exit__(self, *exc):
         _GRAD_ENABLED.pop()
         return False
-
-
-def set_debug(enabled: bool) -> None:
-    """When enabled, every op output is checked for non-finite values."""
-    _DEBUG[0] = bool(enabled)
-
-
-def _check(name: str, data: np.ndarray) -> None:
-    if _DEBUG[0] and data.size and not np.all(np.isfinite(data)):
-        raise NonFiniteError(f"non-finite output of {name}")
 
 
 class Tensor:
@@ -138,8 +126,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is None or node.grad is None:
                 continue
-            if _DEBUG[0] and not np.all(np.isfinite(node.grad)):
-                raise NonFiniteError("non-finite gradient during backward")
             node._backward(node.grad)
             node.grad = None
 
@@ -180,7 +166,6 @@ class Tensor:
 
 
 def _make(name: str, data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    _check(name, data)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None

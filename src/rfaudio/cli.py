@@ -19,16 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .audio import read_wav, write_wav
-from .conditioning import FrameFeatures, mask_prompt
+from .conditioning import FrameFeatures
 from .config import ConfigError, DataError, RunConfig, load_run_config, to_dict
-from .dataforge import (
-    MANIFEST_NAME,
-    FolderLibrary,
-    ForgeConfig,
-    SyntheticLibrary,
-    forge_corpus,
-    load_manifest,
-)
+from .data import ToyModesDataset, build_toy_model, corpus_items, manifest_training
+from .dataforge import FolderLibrary, ForgeConfig, SyntheticLibrary, forge_corpus
 from .evalkit import embed_stats, energy_distance, frechet_distance, mel_summary_embedding
 from .flow import LatentCodec, TrainingDiverged, load_model, sample, save_model, train
 from .model import FlowModel
@@ -40,148 +34,23 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-TOY_MODE_COUNT = 8
-TOY_MODE_RADIUS = 4.0
-TOY_MODE_SIGMA = 0.1
-
-
-# ---------------------------------------------------------------------------
-# Toy conditional dataset: 8 Gaussians on a radius-4 circle, one class word
-# ---------------------------------------------------------------------------
-
-
-def toy_mode_centers() -> np.ndarray:
-    """[8, 2] mode centers evenly spaced on the radius-4 circle."""
-    angles = 2.0 * np.pi * np.arange(TOY_MODE_COUNT) / TOY_MODE_COUNT
-    return TOY_MODE_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
-def toy_vocabulary() -> list[str]:
-    return [f"mode{k}" for k in range(TOY_MODE_COUNT)]
-
-
-def build_toy_model(config: RunConfig) -> FlowModel:
-    """Flow model over 2-D latents whose high stream is one class token."""
-    if config.model.d_lat != 2:
-        raise DataError(
-            "the toy distribution is 2-D; set --model.d_lat 2 (and --model.d_mel 2)"
-        )
-    return FlowModel(config.model, seed=config.seed, toy_vocab=toy_vocabulary())
-
-
-class ToyModesDataset:
-    """Yields (x0, bundle): a point from one Gaussian mode plus its label token.
-
-    Each epoch re-derives its RNG from the fixed seed, so iteration order is
-    deterministic and the training stream is reproducible bit-for-bit.
-    """
-
-    def __init__(self, model: FlowModel, seed: int = 0, items_per_epoch: int = 2048):
-        self.model = model
-        self.seed = int(seed)
-        self.items_per_epoch = int(items_per_epoch)
-        self.centers = toy_mode_centers()
-
-    def __iter__(self):
-        rng = np.random.default_rng([self.seed, 0x70F])
-        for _ in range(self.items_per_epoch):
-            k = int(rng.integers(TOY_MODE_COUNT))
-            point = self.centers[k] + TOY_MODE_SIGMA * rng.standard_normal(2)
-            bundle = self.model.conditioner.assemble(1, instruction=f"mode{k}")
-            yield point[None, :], bundle
-
-
-class ManifestDataset:
-    """Editing corpus stream: target latents conditioned on masked source mel.
-
-    Each item trains the model to produce the edited (target) mel from the
-    instruction plus the source mel as the low-level prompt, with a fresh
-    contiguous mask drawn per epoch. All clips must share one frame count
-    because batches stack the latent grid.
-    """
-
-    def __init__(self, model: FlowModel, entries, seed: int = 0):
-        self.model = model
-        self.entries = entries
-        self.seed = int(seed)
-
-    def __iter__(self):
-        rng = np.random.default_rng([self.seed, 0xDA7A])
-        for latents, source_mel, instruction in self.entries:
-            prompt = FrameFeatures(source_mel.frames)
-            masked, _ = mask_prompt(prompt, rng)
-            bundle = self.model.conditioner.assemble(
-                latents.shape[0],
-                instruction=instruction,
-                transcript=instruction,
-                mel=masked,
-            )
-            yield latents, bundle
-
-
-def _corpus_items(root: Path, min_items: int) -> list[dict]:
-    """The manifest items of a forged corpus under ``root``."""
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise DataError(f"no {MANIFEST_NAME} under {root}")
-    try:
-        items = load_manifest(manifest_path)["items"]
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    if len(items) < min_items:
-        raise DataError(f"manifest {manifest_path} lists fewer than {min_items} items")
-    return items
-
-
-def _corpus_mels(root: Path, config: RunConfig, min_items: int):
-    """(items, source mels, target mels) of a forged corpus under ``root``."""
-    items = _corpus_items(root, min_items)
-    try:
-        source_mels = [mel_spectrogram(read_wav(root / item["source_path"]), config.mel)
-                       for item in items]
-        target_mels = [mel_spectrogram(read_wav(root / item["target_path"]), config.mel)
-                       for item in items]
-    except (ValueError, OSError) as exc:
-        raise DataError(f"failed to load corpus audio: {exc}") from exc
-    return items, source_mels, target_mels
-
-
-def _build_manifest_training(config: RunConfig, root: Path):
-    if config.model.d_lat != config.mel.n_mels or config.model.d_mel != config.mel.n_mels:
-        raise DataError(
-            f"mel-latent training needs model.d_lat == model.d_mel == mel.n_mels "
-            f"({config.mel.n_mels}); got d_lat={config.model.d_lat} "
-            f"d_mel={config.model.d_mel}"
-        )
-    items, source_mels, target_mels = _corpus_mels(root, config, min_items=1)
-
-    frame_counts = {m.n_frames for m in target_mels} | {m.n_frames for m in source_mels}
-    if len(frame_counts) != 1:
-        raise DataError(
-            f"clips must share one mel frame count for batching, got {sorted(frame_counts)}"
-        )
-
-    codec = LatentCodec(config.mel)
-    codec.fit(target_mels)
-    vocab = sorted({word for item in items for word in item["instruction"].split()})
-    model = FlowModel(config.model, seed=config.seed, toy_vocab=vocab)
-    entries = [
-        (codec.encode(tgt), src, item["instruction"])
-        for item, src, tgt in zip(items, source_mels, target_mels)
-    ]
-    dataset = ManifestDataset(model, entries, seed=config.seed)
-    return model, dataset, codec
-
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
+def _writable(path) -> Path:
+    """``path`` as a Path, with its parent directory created if missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _emit(report: dict, out_path: str | None = None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
-        Path(out_path).write_text(text + "\n")
+        _writable(out_path).write_text(text + "\n")
     print(text)
 
 
@@ -219,14 +88,13 @@ def _cmd_train(args, config: RunConfig) -> int:
         dataset = ToyModesDataset(model, seed=config.seed)
         codec = None
     else:
-        model, dataset, codec = _build_manifest_training(config, Path(args.data))
+        model, dataset, codec = manifest_training(config, Path(args.data))
 
     result = train(model, dataset, args.steps, opt=config.train, seed=config.seed)
 
-    out = Path(args.out) if args.out else Path(config.paths.output_dir) / "model.ckpt"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _writable(args.out or Path(config.paths.output_dir) / "model.ckpt")
+    csv_path = _writable(args.loss_csv or str(out) + ".loss.csv")
     save_model(out, result.model, codec=codec, seed=config.seed)
-    csv_path = Path(args.loss_csv) if args.loss_csv else Path(str(out) + ".loss.csv")
     lines = ["step,loss"] + [f"{i + 1},{value!r}" for i, value in enumerate(result.losses)]
     csv_path.write_text("\n".join(lines) + "\n")
     _emit({
@@ -259,7 +127,7 @@ def _render(args, config: RunConfig, model: FlowModel, codec: LatentCodec, frame
     )
     latents = sample(model, bundle, (frames, model.config.d_lat), config.sampler)
     wav = griffin_lim(codec.decode(latents), iterations=args.gl_iters)
-    write_wav(wav, args.out)
+    write_wav(wav, _writable(args.out))
     return wav
 
 
@@ -272,8 +140,15 @@ def _cmd_sample(args, config: RunConfig) -> int:
     if args.frames is not None:
         frames = args.frames
     else:
-        n_samples = int(round(args.seconds * codec.config.sample_rate))
-        frames = codec.config.frame_count(n_samples)
+        mel = codec.config
+        n_samples = int(round(args.seconds * mel.sample_rate))
+        if n_samples < mel.n_fft:
+            raise ConfigError(
+                f"--seconds {args.seconds} is shorter than one frame of the checkpoint's "
+                f"codec: at least {mel.n_fft / mel.sample_rate:g} s ({mel.n_fft} samples "
+                f"at {mel.sample_rate} Hz)"
+            )
+        frames = mel.frame_count(n_samples)
     wav = _render(args, config, model, codec, frames)
     _emit({
         "wav": str(args.out),
@@ -357,10 +232,12 @@ def _metric_report(path_pairs, config: RunConfig) -> tuple[dict, dict]:
 
 def _cmd_eval(args, config: RunConfig) -> int:
     if args.manifest is not None:
+        if args.dir_a is not None or args.dir_b is not None:
+            raise ConfigError("eval takes either --manifest or --dir-a/--dir-b, not both")
         root = Path(args.manifest)
         path_pairs = (
             (root / item["source_path"], root / item["target_path"])
-            for item in _corpus_items(root, min_items=2)
+            for item in corpus_items(root, min_items=2)
         )
     else:
         if args.dir_a is None or args.dir_b is None:

@@ -42,9 +42,10 @@ class ModelConfig:
     """Shapes of the velocity network and its conditioning streams.
 
     The desk-scale defaults (4 blocks, width 64, 4 heads) are what every
-    experiment and test runs; ``full_scale`` records the production
-    shape (36 blocks, width 2048, 32 heads), which is far outside desk
-    budgets and is never instantiated by the test suite.
+    experiment and test runs. The production shape, far outside desk
+    budgets, is ``ModelConfig(d_mm=2048, d_trans=512, d_high=2048,
+    width=2048, depth=36, heads=32)`` with the other fields at their
+    defaults.
     """
 
     d_lat: int = 100
@@ -74,15 +75,6 @@ class ModelConfig:
     @property
     def d_low(self) -> int:
         return self.d_sync + self.d_mel
-
-    @classmethod
-    def full_scale(cls, **overrides) -> "ModelConfig":
-        base = dict(
-            d_lat=100, d_mel=100, d_sync=8, d_mm=2048, d_trans=512,
-            d_high=2048, width=2048, depth=36, heads=32,
-        )
-        base.update(overrides)
-        return cls(**base)
 
 
 def time_features(t, dim: int) -> np.ndarray:

@@ -70,19 +70,6 @@ class MelConfig:
 
 
 @dataclass
-class ComplexSpectrogram:
-    config: MelConfig
-    frames: np.ndarray  # [T, n_fft//2 + 1] complex128
-
-    def __post_init__(self) -> None:
-        if self.frames.ndim != 2 or self.frames.shape[1] != self.config.n_bins:
-            raise ValueError(f"expected [T, {self.config.n_bins}], got {self.frames.shape}")
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.frames)
-
-
-@dataclass
 class MelSpectrogram:
     config: MelConfig
     frames: np.ndarray  # [T, n_mels] float32, natural log of (mel power + floor)
@@ -124,12 +111,11 @@ def _check_buffer(buffer: AudioBuffer, cfg: MelConfig) -> None:
         raise ValueError(f"buffer shorter than one frame ({n} < {cfg.n_fft})")
 
 
-def stft(buffer: AudioBuffer, cfg: MelConfig) -> ComplexSpectrogram:
-    """Hann-windowed, non-centered STFT."""
+def stft(buffer: AudioBuffer, cfg: MelConfig) -> np.ndarray:
+    """Hann-windowed, non-centered STFT: ``[T, n_bins]`` complex128, as :func:`istft` takes."""
     _check_buffer(buffer, cfg)
     window = _hann_periodic(cfg.n_fft)
-    frames = _frame_stft(buffer.samples, cfg.n_fft, cfg.hop, window)
-    return ComplexSpectrogram(cfg, frames)
+    return _frame_stft(buffer.samples, cfg.n_fft, cfg.hop, window)
 
 
 def istft(frames: np.ndarray, cfg: MelConfig) -> AudioBuffer:
@@ -322,8 +308,6 @@ def griffin_lim(
 def _as_magnitudes(x, eps: float | None):
     if isinstance(x, MelSpectrogram):
         return np.sqrt(x.power()), x.config.log_floor, ("mel", x.config)
-    if isinstance(x, ComplexSpectrogram):
-        return x.magnitudes(), x.config.log_floor, ("linear", x.config)
     arr = np.asarray(x, dtype=np.float64)
     return arr, (1e-5 if eps is None else eps), ("array", arr.shape)
 

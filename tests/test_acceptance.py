@@ -27,14 +27,7 @@ from rfaudio.audio import (
     time_stretch,
 )
 from rfaudio.autodiff import Tensor
-from rfaudio.cli import (
-    EXIT_OK,
-    TOY_MODE_SIGMA,
-    ToyModesDataset,
-    main,
-    toy_mode_centers,
-    toy_vocabulary,
-)
+from rfaudio.cli import EXIT_OK, main
 from rfaudio.conditioning import (
     MASK_RATIO_HIGH,
     MASK_RATIO_LOW,
@@ -43,6 +36,7 @@ from rfaudio.conditioning import (
     mask_prompt,
 )
 from rfaudio.config import RunConfig, from_dict, load_run_config, to_dict
+from rfaudio.data import TOY_MODE_SIGMA, ToyModesDataset, toy_mode_centers, toy_vocabulary
 from rfaudio.dataforge import (
     ForgeConfig,
     SyntheticLibrary,

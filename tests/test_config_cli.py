@@ -13,18 +13,9 @@ import pytest
 
 import rfaudio
 from rfaudio.audio import AudioBuffer, read_wav, write_wav
-from rfaudio.cli import (
-    EXIT_CONFIG,
-    EXIT_DATA,
-    EXIT_NUMERIC,
-    EXIT_OK,
-    ToyModesDataset,
-    build_toy_model,
-    main,
-    toy_mode_centers,
-    toy_vocabulary,
-)
+from rfaudio.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from rfaudio.config import ConfigError, RunConfig, from_dict, load_run_config, to_dict
+from rfaudio.data import ToyModesDataset, build_toy_model, toy_mode_centers, toy_vocabulary
 from rfaudio.dataforge import MANIFEST_VERSION, ForgeConfig, SyntheticLibrary, forge_corpus
 from rfaudio.evalkit import embed_stats, energy_distance, frechet_distance, mel_summary_embedding
 from rfaudio.spectral import lsd, mel_spectrogram
@@ -245,6 +236,51 @@ class TestToyHelpers:
             assert nearest < 0.5
 
 
+class TestTrainingStreamsPinned:
+    """The training streams, compared exactly against values recorded before
+    the datasets moved from ``rfaudio.cli`` to ``rfaudio.data``."""
+
+    def test_toy_items(self, monkeypatch):
+        cfg = load_run_config(None, [(k[2:], v) for k, v in
+                                     zip(TOY_MODEL_OVERRIDES[::2], TOY_MODEL_OVERRIDES[1::2])])
+        model = build_toy_model(cfg)
+        assemble, instructions = model.conditioner.assemble, []
+
+        def recording(*args, **kwargs):
+            instructions.append(kwargs["instruction"])
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(model.conditioner, "assemble", recording)
+        points = [x.tolist() for (x, _), _ in zip(ToyModesDataset(model, seed=0), range(4))]
+        assert list(zip(points, instructions)) == [
+            ([[2.881767086017967, 2.7473562590708482]], "mode1"),
+            ([[2.8396343614950657, -2.9819293466714414]], "mode7"),
+            ([[2.980783556942091, -2.819398433935593]], "mode7"),
+            ([[2.7589626042622624, 2.846327494093377]], "mode1"),
+        ]
+
+    def test_corpus_training(self, workspace, tmp_path, capsys, monkeypatch):
+        mask, spans = rfaudio.data.mask_prompt, []
+
+        def recording(*args, **kwargs):
+            masked, span = mask(*args, **kwargs)
+            spans.append((span.start, span.end))
+            return masked, span
+
+        monkeypatch.setattr(rfaudio.data, "mask_prompt", recording)
+        csv = tmp_path / "loss.csv"
+        assert main(["train", "--config", workspace["cfg"], "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "m.ckpt"), "--steps", "3",
+                     "--loss-csv", str(csv)]) == EXIT_OK
+        capsys.readouterr()
+        assert csv.read_text() == (
+            "step,loss\n1,2.1369211673736572\n2,1.8141487836837769\n3,1.833022117614746\n"
+        )
+        # one epoch is the corpus's 5 pairs; each epoch redraws the same spans
+        assert spans == [(31, 102), (29, 82), (19, 94), (3, 86), (44, 95)] * 2 + [
+            (31, 102), (29, 82)]
+
+
 # ---------------------------------------------------------------------------
 # CLI end to end
 # ---------------------------------------------------------------------------
@@ -456,6 +492,16 @@ class TestSampleCommand:
         buf = read_wav(out)
         cfg = json.loads(Path(workspace["cfg"]).read_text())["mel"]
         assert len(buf.samples) == cfg["n_fft"] + 9 * cfg["hop"]
+
+    def test_seconds_below_one_frame_exits_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "x.wav"
+        rc = main(["sample", "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
+                   "--out", str(out), "--seconds", "0.001"])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == EXIT_CONFIG and err["error"] == "config"
+        # the codec's frame is n_fft = 256 samples at 8 kHz
+        assert "--seconds" in err["message"] and "0.032 s" in err["message"]
+        assert not out.exists()
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         rc = main(["sample", "--checkpoint", str(tmp_path / "nope.ckpt"),
@@ -703,6 +749,13 @@ class TestEvalCommand:
         assert rc == EXIT_CONFIG
         assert json.loads(err)["error"] == "config"
 
+    def test_manifest_and_folders_exit_2(self, workspace, tmp_path, capsys):
+        rc = main(["eval", "--config", workspace["cfg"], "--manifest", str(workspace["data"]),
+                   "--dir-a", str(tmp_path / "ghost-a"), "--dir-b", str(tmp_path / "ghost-b")])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == EXIT_CONFIG and err["error"] == "config"
+        assert "--manifest" in err["message"]
+
     def test_missing_folder(self, workspace, tmp_path, capsys):
         rc = main(["eval", "--config", workspace["cfg"],
                    "--dir-a", str(tmp_path / "ghost"),
@@ -730,6 +783,26 @@ def test_malformed_manifest_items(workspace, tmp_path, capsys, command, items):
     err = json.loads(capsys.readouterr().err.strip())
     assert rc == EXIT_DATA
     assert err["error"] == "data"
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "edit", "eval"])
+def test_output_directory_created(workspace, tmp_path, capsys, command):
+    """An output under a missing directory is written there, not refused after the work."""
+    out = tmp_path / "new" / "dir" / "out"
+    source = workspace["data"] / json.loads(
+        (workspace["data"] / "manifest.json").read_text())["items"][0]["source_path"]
+    argv = {
+        "train": ["--data", str(workspace["data"]), "--steps", "1",
+                  "--out", str(tmp_path / "m.ckpt"), "--loss-csv", str(out)],
+        "sample": ["--checkpoint", workspace["ckpt"], "--frames", "4", "--gl-iters", "2",
+                   "--out", str(out)],
+        "edit": ["--checkpoint", workspace["ckpt"], "--source", str(source),
+                 "--instruction", "x", "--gl-iters", "2", "--out", str(out)],
+        "eval": ["--manifest", str(workspace["data"]), "--out", str(out)],
+    }[command]
+    assert main([command, "--config", workspace["cfg"], *argv]) == EXIT_OK
+    capsys.readouterr()
+    assert out.is_file() and out.stat().st_size > 0
 
 
 COLD_START_SCRIPT = """

@@ -11,9 +11,9 @@ import pytest
 
 from rfaudio import autodiff, binfile
 from rfaudio.autodiff import Tensor
-from rfaudio.cli import ToyModesDataset, build_toy_model
 from rfaudio.conditioning import ConditioningBundle, FeatureSeq, FrameFeatures
 from rfaudio.config import RunConfig
+from rfaudio.data import ToyModesDataset, build_toy_model
 from rfaudio.flow import (
     CodecError,
     LatentCodec,

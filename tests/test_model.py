@@ -36,10 +36,6 @@ class TestModelConfig:
         cfg = ModelConfig()
         assert (cfg.depth, cfg.width, cfg.heads) == (4, 64, 4)
 
-    def test_full_scale_recorded(self):
-        cfg = ModelConfig.full_scale()
-        assert (cfg.depth, cfg.width, cfg.heads) == (36, 2048, 32)
-
     def test_d_low_is_sum(self):
         assert TINY.d_low == 5
 
