@@ -15,6 +15,8 @@ from __future__ import annotations
 import logging
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,6 +73,68 @@ class AudioBuffer:
 
     def copy(self) -> "AudioBuffer":
         return AudioBuffer(self.samples.copy(), self.sample_rate)
+
+
+# ---------------------------------------------------------------------------
+# DSP lanes
+#
+# The resampler and the phase vocoder split their rows (or frequency bins)
+# into one contiguous range per CPU this process may run on. Every lane runs
+# the same float operations, in the same order, on the part it owns, so the
+# output is the same bit for bit at any lane count. The caller allocates
+# every output and every lane's scratch before dispatch and lanes write with
+# ``out=``, so lane threads allocate nothing large. Lanes run only numpy
+# FFTs, ufuncs and ``einsum`` (never ``matmul``, ``dot`` or ``linalg``, so
+# the BLAS thread count is untouched) and call no module global that the
+# benchmark's tracer rebinds, so every traced span opens on the calling
+# thread.
+# ---------------------------------------------------------------------------
+
+#: lanes per kernel call: the CPUs in this process's affinity mask
+_LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads: start afresh."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _lane_cuts(n: int) -> list[int]:
+    """Bounds ``[c_0 = 0, c_1, ..., c_L = n]`` of one contiguous range per lane."""
+    lanes = max(1, min(_LANES, n))
+    return [n * k // lanes for k in range(lanes + 1)]
+
+
+def _run_lanes(work, cuts: list[int]) -> None:
+    """Run ``work(k, cuts[k], cuts[k + 1])`` for every lane ``k``.
+
+    Lane 0 runs on the calling thread, the others on the module's thread
+    pool. Returns when every lane has finished; the first lane error, if
+    any, is raised then.
+    """
+    global _pool
+    futures = []
+    if len(cuts) > 2:
+        with _pool_lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(max(_LANES - 1, 1), thread_name_prefix="rfaudio-lane")
+            pool = _pool
+        futures = [pool.submit(work, k, cuts[k], cuts[k + 1]) for k in range(1, len(cuts) - 1)]
+    try:
+        work(0, cuts[0], cuts[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +306,58 @@ def _sinc_interpolate(x: np.ndarray, positions: np.ndarray, ratio: float) -> np.
     """Evaluate x at fractional sample ``positions`` with a windowed sinc.
 
     ``ratio`` is input samples per output sample; for ratio > 1 (decimation)
-    the kernel cutoff drops to 1/ratio for anti-aliasing. Output positions
-    are taken ``RESAMPLER_BLOCK_ROWS`` at a time, so the scratch is a few
-    ``[RESAMPLER_BLOCK_ROWS, RESAMPLER_TAPS]`` matrices whatever the length.
+    the kernel cutoff drops to 1/ratio for anti-aliasing. Each lane takes
+    its range of output positions ``RESAMPLER_BLOCK_ROWS`` at a time through
+    its own ``[RESAMPLER_BLOCK_ROWS, RESAMPLER_TAPS]`` scratch, whatever the
+    length. Every output sample gets the arithmetic of the whole-array
+    formula ``cutoff * np.sinc(cutoff * u) * taper``, with ``np.sinc``
+    spelled out as its own operations, bit for bit.
     """
     half = RESAMPLER_TAPS // 2
     cutoff = min(1.0, 1.0 / ratio)
     pad = np.pad(x, half)
-    offsets = np.arange(-half + 1, half + 1)  # 32 taps around each position
+    offsets = np.arange(-half + 1, half + 1, dtype=np.float64)  # 32 taps around each position
+    tiny = np.finfo(np.float64).eps  # np.sinc's stand-in for an exact zero
     out = np.empty(positions.size)
-    for r0 in range(0, positions.size, RESAMPLER_BLOCK_ROWS):
-        block = positions[r0 : r0 + RESAMPLER_BLOCK_ROWS]
-        idx = np.floor(block).astype(np.int64)[:, None] + offsets[None, :]
-        u = block[:, None] - idx
-        taper = 0.5 + 0.5 * np.cos(np.pi * u / half)  # Hann taper over the support
-        kernel = cutoff * np.sinc(cutoff * u) * taper
-        out[r0 : r0 + block.size] = np.einsum("ij,ij->i", pad[idx + half], kernel)
+    cuts = _lane_cuts(positions.size)
+    rows = min(RESAMPLER_BLOCK_ROWS, cuts[1] + 1)  # lane ranges differ by at most one
+    shape = (rows, RESAMPLER_TAPS)
+    scratch = [
+        (np.empty(rows), np.empty(shape, np.int64), np.empty(shape), np.empty(shape),
+         np.empty(shape), np.empty(shape, bool))
+        for _ in range(len(cuts) - 1)
+    ]
+
+    def lane(k, lo, hi):
+        for r0 in range(lo, hi, rows):
+            m = min(rows, hi - r0)
+            block = positions[r0 : r0 + m]
+            base, idx, u, taper, kernel, zero = (a[:m] for a in scratch[k])
+            np.floor(block, out=base)
+            np.copyto(u, offsets)
+            u += base[:, None]  # the tap positions, whole numbers held exactly
+            np.copyto(idx, u, casting="unsafe")
+            np.subtract(block[:, None], u, out=u)
+            # Hann taper over the support: 0.5 + 0.5 * cos(pi * u / half)
+            np.multiply(np.pi, u, out=taper)
+            taper /= half
+            np.cos(taper, out=taper)
+            taper *= 0.5
+            taper += 0.5
+            # np.sinc(cutoff * u): y = pi * x, an exact zero read as eps, sin(y) / y
+            u *= cutoff
+            u *= np.pi
+            np.equal(u, 0.0, out=zero)
+            np.copyto(u, tiny, where=zero)
+            np.sin(u, out=kernel)
+            kernel /= u
+            kernel *= cutoff
+            kernel *= taper
+            idx += half
+            np.take(pad, idx, out=taper, mode="clip")  # every index is in range
+            np.einsum("ij,ij->i", taper, kernel, out=out[r0 : r0 + m])
+
+    _run_lanes(lane, cuts)
     return out
 
 
@@ -291,9 +391,14 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
 
 
 class MixResult(NamedTuple):
-    mixture: AudioBuffer
     foreground_stem: AudioBuffer  # scaled, placed in the background timeline
     background: AudioBuffer
+
+    @property
+    def mixture(self) -> AudioBuffer:
+        """``background + foreground_stem``, summed on each read."""
+        mixture = self.background.samples + self.foreground_stem.samples
+        return AudioBuffer(mixture, self.background.sample_rate)
 
 
 def mix_at_snr(
@@ -305,8 +410,9 @@ def mix_at_snr(
     """Place ``foreground`` into ``background`` at a target SNR.
 
     The gain g satisfies 10*log10(P_fg / P_bg) = snr_db with both powers
-    (mean square) measured over the overlap window only. The returned
-    mixture equals ``background.samples + stem.samples`` sample-exactly.
+    (mean square) measured over the overlap window only. The result's
+    ``mixture``, summed when read, equals ``background.samples +
+    stem.samples`` sample-exactly.
     """
     if foreground.sample_rate != background.sample_rate:
         raise ValueError(
@@ -334,9 +440,7 @@ def mix_at_snr(
     gain = np.sqrt(p_bg / p_fg) * 10.0 ** (snr_db / 20.0)
     stem = np.zeros(len(background), dtype=np.float64)
     stem[onset : onset + n_fg] = gain * foreground.samples
-    mixture = background.samples + stem
-    sr = background.sample_rate
-    return MixResult(AudioBuffer(mixture, sr), AudioBuffer(stem, sr), background)
+    return MixResult(AudioBuffer(stem, background.sample_rate), background)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +479,18 @@ def _hann_periodic(n: int) -> np.ndarray:
 
 
 def _frame_stft(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
+    """``rfft`` of each windowed frame, ``[n_frames, n_fft // 2 + 1]``; lanes split the frames."""
     n_frames = 1 + (x.size - n_fft) // hop
     frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[:: hop][:n_frames]
-    return np.fft.rfft(frames * window, axis=1)
+    windowed = np.empty((n_frames, n_fft))
+    spec = np.empty((n_frames, n_fft // 2 + 1), dtype=np.complex128)
+
+    def lane(k, lo, hi):
+        np.multiply(frames[lo:hi], window, out=windowed[lo:hi])
+        np.fft.rfft(windowed[lo:hi], axis=1, out=spec[lo:hi])
+
+    _run_lanes(lane, _lane_cuts(n_frames))
+    return spec
 
 
 def _add_frames(acc: np.ndarray, frames: np.ndarray, hop: int) -> None:
@@ -412,10 +525,21 @@ def _window_norm(window: np.ndarray, t: int, hop: int) -> np.ndarray:
 
 
 def _overlap_add(frames_c: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
-    """Least-squares inverse STFT: overlap-add then divide by sum(window^2)."""
+    """Least-squares inverse STFT: overlap-add then divide by sum(window^2).
+
+    Lanes split the frames for the inverse FFTs and the window; the frames
+    are then added on the calling thread, in frame order.
+    """
     t = frames_c.shape[0]
+    frames = np.empty((t, n_fft))
+
+    def lane(k, lo, hi):
+        np.fft.irfft(frames_c[lo:hi], n=n_fft, axis=1, out=frames[lo:hi])
+        frames[lo:hi] *= window
+
+    _run_lanes(lane, _lane_cuts(t))
     acc = np.zeros(n_fft + (t - 1) * hop)
-    _add_frames(acc, np.fft.irfft(frames_c, n=n_fft, axis=1) * window, hop)
+    _add_frames(acc, frames, hop)
     acc /= _window_norm(window, t, hop)
     return acc
 
@@ -429,6 +553,10 @@ def time_stretch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     trimmed to exactly round(len * factor) samples, so the duration law
     holds with zero error. factor = 1.0 reproduces the input through the
     identity analysis path.
+
+    Lanes split the frames for every elementwise step and the frequency
+    bins for the running phase sum, which runs along the frames of one bin;
+    each value is computed as the whole-array formula computes it.
     """
     if factor <= 0:
         raise ValueError("stretch factor must be positive")
@@ -442,29 +570,73 @@ def time_stretch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     t_in = 1 + int(np.ceil((x.size - n_fft) / hop))
     padded = np.pad(x, (0, n_fft + (t_in - 1) * hop - x.size))
     spec = _frame_stft(padded, n_fft, hop, window)  # [t_in, bins]
+    bins = spec.shape[1]
+    mag_in = np.empty((t_in, bins))
+    phase_in = np.empty((t_in, bins))
+
+    def analyse(k, lo, hi):
+        np.abs(spec[lo:hi], out=mag_in[lo:hi])
+        np.arctan2(spec.imag[lo:hi], spec.real[lo:hi], out=phase_in[lo:hi])  # np.angle
+
+    _run_lanes(analyse, _lane_cuts(t_in))
 
     t_out = 1 + max(int(np.ceil((target_len - n_fft) / hop)), 0)
     pos = np.minimum(np.arange(t_out) / factor, t_in - 1.0)
-    lo = np.floor(pos).astype(np.int64)
-    hi = np.minimum(lo + 1, t_in - 1)
-    frac = (pos - lo)[:, None]
-
-    mag = (1.0 - frac) * np.abs(spec[lo]) + frac * np.abs(spec[hi])
-
-    bins = spec.shape[1]
+    lo_frame = np.floor(pos).astype(np.int64)
+    hi_frame = np.minimum(lo_frame + 1, t_in - 1)
+    frac = (pos - lo_frame)[:, None]
+    keep = 1.0 - frac
+    clamped = hi_frame == lo_frame  # the tail, where the bin advances nominally
     omega = 2.0 * np.pi * np.arange(bins) * hop / n_fft  # nominal advance/hop
-    phase_lo = np.angle(spec[lo])
-    phase_hi = np.angle(spec[hi])
-    # deviation of the observed advance lo->hi from nominal, wrapped to (-pi, pi]
-    dev = phase_hi - phase_lo - omega[None, :]
-    dev = dev - 2.0 * np.pi * np.round(dev / (2.0 * np.pi))
-    dev[hi == lo] = 0.0  # clamped tail: advance nominally
-    advance = omega[None, :] + dev  # true per-hop advance at each output step
-    phase = np.empty_like(mag)
-    phase[0] = phase_lo[0]  # pos[0] == 0, so the first frame keeps its phase
-    phase[1:] = phase_lo[0] + np.cumsum(advance[:-1], axis=0)
+    # the interpolated magnitudes as complex values, the form the product takes
+    mag = np.zeros((t_out, bins), dtype=np.complex128)
+    advance = np.empty((t_out, bins))
+    scratch = np.empty((t_out, bins))
 
-    out = _overlap_add(mag * np.exp(1j * phase), n_fft, hop, window)
+    def interpolate(k, lo, hi):
+        rows = slice(lo, hi)
+        s, dev = scratch[rows], advance[rows]
+        # (1 - frac) * |spec[lo]| + frac * |spec[hi]|
+        np.take(mag_in, lo_frame[rows], axis=0, out=s, mode="clip")
+        np.multiply(keep[rows], s, out=mag.real[rows])
+        np.take(mag_in, hi_frame[rows], axis=0, out=s, mode="clip")
+        s *= frac[rows]
+        mag.real[rows] += s
+        # deviation of the observed advance lo->hi from nominal, wrapped to (-pi, pi]
+        np.take(phase_in, hi_frame[rows], axis=0, out=dev, mode="clip")
+        np.take(phase_in, lo_frame[rows], axis=0, out=s, mode="clip")
+        dev -= s
+        dev -= omega
+        np.divide(dev, 2.0 * np.pi, out=s)
+        np.round(s, out=s)
+        s *= 2.0 * np.pi
+        dev -= s
+        dev[clamped[rows]] = 0.0
+        np.add(omega, dev, out=dev)  # true per-hop advance at each output step
+
+    _run_lanes(interpolate, _lane_cuts(t_out))
+
+    phase = scratch  # free again once the lanes above are done
+    phase[0] = phase_in[0]  # pos[0] == 0, so the first frame keeps its phase
+
+    def accumulate(k, lo, hi):
+        np.cumsum(advance[:-1, lo:hi], axis=0, out=phase[1:, lo:hi])
+
+    _run_lanes(accumulate, _lane_cuts(bins))
+    frames_c = np.empty((t_out, bins), dtype=np.complex128)
+
+    def synthesise(k, lo, hi):
+        summed = slice(max(lo, 1), hi)  # row 0 keeps the first frame's phase
+        np.add(phase_in[0], phase[summed], out=phase[summed])
+        z = frames_c[lo:hi]
+        z[...] = phase[lo:hi]
+        np.multiply(1j, z, out=z)
+        np.exp(z, out=z)
+        np.multiply(mag[lo:hi], z, out=z)  # mag * exp(1j * phase)
+
+    _run_lanes(synthesise, _lane_cuts(t_out))
+
+    out = _overlap_add(frames_c, n_fft, hop, window)
     if out.size < target_len:
         out = np.pad(out, (0, target_len - out.size))
     return AudioBuffer(out[:target_len], buffer.sample_rate)

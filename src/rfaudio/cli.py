@@ -381,7 +381,7 @@ _DISPATCH = {
 }
 
 
-def _fail(kind: str, exc: Exception, code: int) -> int:
+def _fail(kind: str, exc: Exception | str, code: int) -> int:
     message = " ".join(str(exc).split())
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     return code
@@ -406,6 +406,8 @@ def main(argv=None) -> int:
         return _fail("numerical", exc, EXIT_NUMERIC)
     except ValueError as exc:
         return _fail("data", exc, EXIT_DATA)
+    except MemoryError as exc:
+        return _fail("memory", str(exc) or "out of memory", EXIT_DATA)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -355,9 +355,16 @@ class FolderLibrary:
 
 
 class SoundscapeResult(NamedTuple):
-    mixture: AudioBuffer
     stems: tuple[AudioBuffer, ...]
     background: AudioBuffer
+
+    @property
+    def mixture(self) -> AudioBuffer:
+        """``background + stem_0 + stem_1 + ...``, summed in event order on each read."""
+        mixture = self.background.samples
+        for stem in self.stems:
+            mixture = mixture + stem.samples
+        return AudioBuffer(mixture, self.background.sample_rate)
 
 
 def compose_soundscape(scene: SceneSpec, library) -> SoundscapeResult:
@@ -366,7 +373,9 @@ def compose_soundscape(scene: SceneSpec, library) -> SoundscapeResult:
     Each event clip is stretched, then pitch-shifted, then scaled to its
     target SNR against the background and placed at its onset. The mixture
     is ``background + stem_0 + stem_1 + ...`` accumulated in event order, so
-    re-summing the returned parts in that order reproduces it bit-exactly.
+    re-summing the returned parts in that order reproduces it bit-exactly;
+    it is summed only when read. The background is the library's own array
+    (read-only for a :class:`SyntheticLibrary`), cut to the scene length.
     """
     background = library.resolve(scene.background_id)
     rate = background.sample_rate
@@ -376,7 +385,7 @@ def compose_soundscape(scene: SceneSpec, library) -> SoundscapeResult:
             f"background {scene.background_id!r} is shorter than the scene: "
             f"{len(background)} < {n} samples"
         )
-    background = AudioBuffer(background.samples[:n].copy(), rate)
+    background = AudioBuffer(background.samples[:n], rate)
 
     stems: list[AudioBuffer] = []
     for ev in scene.events:
@@ -397,11 +406,7 @@ def compose_soundscape(scene: SceneSpec, library) -> SoundscapeResult:
             )
         placed = mix_at_snr(clip, background, ev.snr_db, ev.onset_s)
         stems.append(placed.foreground_stem)
-
-    mixture = background.samples.copy()
-    for stem in stems:
-        mixture = mixture + stem.samples
-    return SoundscapeResult(AudioBuffer(mixture, rate), tuple(stems), background)
+    return SoundscapeResult(tuple(stems), background)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +472,7 @@ def make_triplet(
 
     composed = compose_soundscape(scene, library)
     rate = composed.background.sample_rate
-    minus = composed.background.samples.copy()
+    minus = composed.background.samples  # only read: each sum below makes a new array
     for j, stem in enumerate(composed.stems):
         if j != event_index:
             minus = minus + stem.samples
@@ -612,6 +617,11 @@ def write_manifest(triplets: Sequence[EditTriplet], root, config: dict | None = 
 
 
 def load_manifest(path) -> dict:
+    """Read and check a manifest; every audio path must stay inside the corpus root.
+
+    An absolute ``source_path``/``target_path``, or one that climbs out
+    through ``..``, is refused with a ``ValueError`` naming the item.
+    """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or payload.get("version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version in {path}")
@@ -626,6 +636,13 @@ def load_manifest(path) -> dict:
                 f"manifest {path} item {index} needs string id, source_path, "
                 f"target_path and instruction"
             )
+        for key in ("source_path", "target_path"):
+            rel = PurePosixPath(item[key])
+            if rel.is_absolute() or ".." in rel.parts:
+                raise ValueError(
+                    f"manifest {path} item {index} ({item['id']!r}): {key} "
+                    f"{item[key]!r} is not a path inside the corpus"
+                )
     return payload
 
 

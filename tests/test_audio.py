@@ -1,3 +1,4 @@
+import multiprocessing
 import struct
 import tracemalloc
 
@@ -334,6 +335,119 @@ def unblocked_resample(x, out_len):
     taper = 0.5 + 0.5 * np.cos(np.pi * u / half)
     kernel = cutoff * np.sinc(cutoff * u) * taper
     return np.einsum("ij,ij->i", pad[idx + half], kernel)
+
+
+def whole_array_time_stretch(x, factor, overlap_add):
+    """The phase vocoder over all frames and bins at once, as one thread computes it."""
+    n_fft, hop = audio.VOCODER_N_FFT, audio.VOCODER_HOP
+    target_len = max(int(round(x.size * factor)), 1)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    t_in = 1 + int(np.ceil((x.size - n_fft) / hop))
+    padded = np.pad(x, (0, n_fft + (t_in - 1) * hop - x.size))
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][:t_in]
+    spec = np.fft.rfft(frames * window, axis=1)
+    t_out = 1 + max(int(np.ceil((target_len - n_fft) / hop)), 0)
+    pos = np.minimum(np.arange(t_out) / factor, t_in - 1.0)
+    lo = np.floor(pos).astype(np.int64)
+    hi = np.minimum(lo + 1, t_in - 1)
+    frac = (pos - lo)[:, None]
+    mag = (1.0 - frac) * np.abs(spec[lo]) + frac * np.abs(spec[hi])
+    omega = 2.0 * np.pi * np.arange(spec.shape[1]) * hop / n_fft
+    phase_lo = np.angle(spec[lo])
+    dev = np.angle(spec[hi]) - phase_lo - omega[None, :]
+    dev = dev - 2.0 * np.pi * np.round(dev / (2.0 * np.pi))
+    dev[hi == lo] = 0.0
+    advance = omega[None, :] + dev
+    phase = np.empty_like(mag)
+    phase[0] = phase_lo[0]
+    phase[1:] = phase_lo[0] + np.cumsum(advance[:-1], axis=0)
+    out = overlap_add(mag * np.exp(1j * phase), n_fft, hop, window)
+    return np.pad(out, (0, max(target_len - out.size, 0)))[:target_len]
+
+
+def clamped_frames(n, factor):
+    """Output frames of a stretch whose analysis position is clamped to the last frame."""
+    n_fft, hop = audio.VOCODER_N_FFT, audio.VOCODER_HOP
+    t_in = 1 + int(np.ceil((n - n_fft) / hop))
+    t_out = 1 + max(int(np.ceil((max(int(round(n * factor)), 1) - n_fft) / hop)), 0)
+    lo = np.floor(np.minimum(np.arange(t_out) / factor, t_in - 1.0))
+    return int(np.count_nonzero(lo == t_in - 1))
+
+
+VOCODER_CASES = {
+    "identity": (4000, 1.0),
+    "one_frame": (audio.VOCODER_N_FFT, 1.19),
+    "one_frame_shrunk": (audio.VOCODER_N_FFT, 0.8),
+    "odd_long": (3001, 1.13),
+    "odd_short": (2047, 0.83),
+    "clamped_tail": (6001, 1.2),
+}
+
+
+class TestVocoderLanes:
+    """Lanes split frames, rows and bins; each sample is the whole-array vocoder's."""
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("case", sorted(VOCODER_CASES))
+    def test_stretch_matches_whole_array(self, monkeypatch, loop_overlap_add, lanes, case):
+        n, factor = VOCODER_CASES[case]
+        if case == "clamped_tail":
+            assert clamped_frames(n, factor) > 1
+        x = np.random.default_rng(n).uniform(-0.5, 0.5, n)
+        monkeypatch.setattr(audio, "_LANES", lanes)
+        got = time_stretch(AudioBuffer(x, 16000), factor).samples
+        want = whole_array_time_stretch(x, factor, loop_overlap_add)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("n, semitones", [(4410, 2.5), (3001, -3.0), (1024, 1.0)])
+    def test_pitch_shift_matches_whole_array(self, monkeypatch, loop_overlap_add, lanes, n,
+                                             semitones):
+        x = np.random.default_rng(n).uniform(-0.5, 0.5, n)
+        monkeypatch.setattr(audio, "_LANES", lanes)
+        got = pitch_shift(AudioBuffer(x, 16000), semitones).samples
+        stretched = whole_array_time_stretch(x, 2.0 ** (semitones / 12.0), loop_overlap_add)
+        assert stretched.size != n
+        assert got.tobytes() == unblocked_resample(stretched, n).tobytes()
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @pytest.mark.parametrize("n_in, out_len", [
+        (3 * RESAMPLER_BLOCK_ROWS + 5, 2 * RESAMPLER_BLOCK_ROWS + 7),  # down, lanes of 1-3 blocks
+        (700, 2 * RESAMPLER_BLOCK_ROWS + 1),                           # up
+        (9, 2),                                                        # fewer rows than lanes
+    ])
+    def test_resample_matches_whole_array(self, monkeypatch, lanes, n_in, out_len):
+        x = np.random.default_rng(n_in).uniform(-0.5, 0.5, n_in)
+        monkeypatch.setattr(audio, "_LANES", lanes)
+        assert resample_to_length(x, out_len).tobytes() == unblocked_resample(x, out_len).tobytes()
+
+
+def _resample_in_child(x, out_len, conn):
+    conn.send(resample_to_length(x, out_len).tobytes())
+    conn.close()
+
+
+def test_fork_child_resamples_like_parent(monkeypatch):
+    """A fork taken after the lane pool exists gets a working pool of its own."""
+    monkeypatch.setattr(audio, "_LANES", 2)
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, 5000)
+    want = resample_to_length(x, 7001).tobytes()
+    assert audio._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_resample_in_child, args=(x, 7001, send))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child produced nothing within 60 s"
+        got = receive.recv()
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert got == want
 
 
 class TestVocoder:

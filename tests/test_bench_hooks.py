@@ -41,3 +41,29 @@ def test_forge_filter_hooks_count_every_screened_triplet(tmp_path, capsys):
     names = [span[0] for span in tracer.spans]
     vad_parents = [names[span[3]] for span in tracer.spans if span[0] == "audio.vad"]
     assert vad_parents == ["dataforge.filter"] * generated
+
+
+def test_forge_spans_nest_and_count_once_per_triplet(tmp_path, capsys):
+    """Every traced DSP and composition entry point runs once per triplet, on the
+    calling thread: no span escapes its parent's interval."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer("nesting")
+    with tracing.instrument(tracer):
+        rc = main(["forge", "--root", str(tmp_path / "corpus"),
+                   "--forge.items_per_task", "2", "--forge.duration_s", "2"])
+    capsys.readouterr()
+    assert rc == EXIT_OK
+
+    spans = tracer.spans
+    for name, start, end, parent in spans:
+        assert end is not None and start <= end, name
+        if parent >= 0:
+            _, p_start, p_end, _ = spans[parent]
+            assert p_start <= start and end <= p_end, (name, spans[parent][0])
+
+    names = [span[0] for span in spans]
+    generated = names.count("dataforge.make_triplet")
+    assert generated == 6
+    for name in ("audio.time_stretch", "audio.pitch_shift", "audio.mix_at_snr",
+                 "dataforge.compose"):
+        assert names.count(name) == generated, name

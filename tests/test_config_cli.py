@@ -785,6 +785,67 @@ def test_malformed_manifest_items(workspace, tmp_path, capsys, command, items):
     assert err["error"] == "data"
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("where", ["parent", "absolute"])
+def test_manifest_path_outside_corpus(workspace, tmp_path, capsys, command, where):
+    """A manifest item whose audio lies outside the corpus root is refused, even
+    when the file it names exists and would read cleanly."""
+    items = json.loads((workspace["data"] / "manifest.json").read_text())["items"][:2]
+    outside = tmp_path / "outside" / "x.wav"
+    outside.parent.mkdir()
+    shutil.copy(workspace["data"] / items[1]["source_path"], outside)
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace["data"] / "audio", corpus / "audio")
+    items[1]["source_path"] = {"parent": "../outside/x.wav", "absolute": str(outside)}[where]
+    (corpus / "manifest.json").write_text(
+        json.dumps({"version": MANIFEST_VERSION, "items": items})
+    )
+    argv = {
+        "train": ["--data", str(corpus), "--out", str(tmp_path / "x.ckpt"), "--steps", "1"],
+        "eval": ["--manifest", str(corpus)],
+    }[command]
+    rc = main([command, "--config", workspace["cfg"], *argv])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert rc == EXIT_DATA
+    assert err["error"] == "data"
+    assert items[1]["id"] in err["message"] and "source_path" in err["message"]
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def _capped_run(args, cap_bytes=1200 * 2**20):
+    """Run ``python -m rfaudio.cli`` in a fresh interpreter under an address-space cap."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
+
+    src = str(Path(rfaudio.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rfaudio.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=240, preexec_fn=cap)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps on Linux")
+@pytest.mark.parametrize("command", ["sample", "train"])
+def test_out_of_memory_is_one_json_line(workspace, tmp_path, command):
+    """Work too large for the memory cap exits 3 with one JSON line, not a traceback."""
+    argv = {
+        # the untaped attention's [1, 2, 128, 899997] float64 score block: 1.72 GiB
+        "sample": ["--checkpoint", workspace["ckpt"], "--instruction", "x",
+                   "--seconds", "7200", "--out", str(tmp_path / "g.wav")],
+        # the taped [4000, 2, 122, 122] float32 attention probabilities: 454 MiB
+        "train": ["--data", str(workspace["data"]), "--steps", "1",
+                  "--train.batch_size", "4000", "--out", str(tmp_path / "m.ckpt")],
+    }[command]
+    proc = _capped_run([command, "--config", workspace["cfg"], *argv])
+    assert proc.returncode == EXIT_DATA, proc.stderr[-2000:]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr[-2000:]
+    assert json.loads(lines[0])["error"] == "memory"
+    assert not (tmp_path / "g.wav").exists() and not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "sample", "edit", "eval"])
 def test_output_directory_created(workspace, tmp_path, capsys, command):
     """An output under a missing directory is written there, not refused after the work."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rfaudio.audio import AudioBuffer, read_wav, vad_activity_ratio
-from rfaudio import dataforge
+from rfaudio import audio, dataforge
 from rfaudio.dataforge import (
     DESK_ITEMS_PER_TASK,
     PITCH_RANGE,
@@ -315,6 +315,13 @@ class TestComposeSoundscape:
         assert np.all(stem[onset + n_clip:] == 0.0)
         assert np.any(stem[onset:onset + n_clip] != 0.0)
 
+    def test_background_is_the_library_array(self):
+        """The scene reads the library's read-only background; nothing copies it."""
+        out = compose_soundscape(scene([event()]), LIB)
+        bed = LIB.resolve("background/v0").samples
+        assert np.shares_memory(out.background.samples, bed)
+        assert not out.background.samples.flags.writeable
+
     def test_zero_events(self):
         out = compose_soundscape(scene([]), LIB)
         assert out.stems == ()
@@ -394,6 +401,14 @@ class TestMakeTriplet:
         assert np.array_equal(
             t_add.source_audio.samples + t_add.event_stem.samples,
             t_add.target_audio.samples,
+        )
+
+    def test_one_event_minus_is_the_background(self):
+        t_add = make_triplet("add", scene([event()]), LIB)
+        assert np.shares_memory(t_add.source_audio.samples, LIB.resolve("background/v0").samples)
+        assert np.array_equal(
+            t_add.target_audio.samples,
+            LIB.resolve("background/v0").samples + t_add.event_stem.samples,
         )
 
     def test_last_event_full_matches_composed_mixture(self, two_event_scene):
@@ -557,6 +572,16 @@ class TestManifest:
         with pytest.raises(ValueError, match="unset"):
             write_manifest([t], tmp_path)
 
+    @pytest.mark.parametrize("bad", ["../outside/x.wav", "/abs/x.wav", "audio/../../x.wav"])
+    @pytest.mark.parametrize("key", ["source_path", "target_path"])
+    def test_paths_outside_the_corpus_rejected(self, written, key, bad):
+        root, _, path = written
+        payload = json.loads(path.read_text())
+        payload["items"][1][key] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"item 1 .*{key}.*not a path inside"):
+            load_manifest(path)
+
     def test_bad_manifest_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"version": 2, "items": []}))
@@ -632,6 +657,21 @@ class TestForgeCorpus:
         bytes_a = (root_a / item["source_path"]).read_bytes()
         bytes_b = (root_b / item["source_path"]).read_bytes()
         assert bytes_a == bytes_b
+
+    def test_bytes_independent_of_lane_count(self, tmp_path, monkeypatch):
+        """The vocoder and resampler lanes change no byte of a seed-0 corpus."""
+        lib = SyntheticLibrary(background_seconds=2.0)
+        cfg = ForgeConfig(items_per_task=2, duration_s=2.0)
+        corpora = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(audio, "_LANES", lanes)
+            root = tmp_path / f"lanes{lanes}"
+            forge_corpus(lib, root, cfg)
+            corpora.append({p.relative_to(root): p.read_bytes()
+                            for p in sorted(root.rglob("*")) if p.is_file()})
+        assert len(corpora[0]) == 1 + 2 * sum(
+            1 for _ in load_manifest(tmp_path / "lanes1" / "manifest.json")["items"])
+        assert corpora[0] == corpora[1]
 
     def test_seed_changes_output(self, tmp_path):
         forge_corpus(LIB, tmp_path / "a", TINY)
