@@ -29,8 +29,9 @@ log = logging.getLogger(__name__)
 VOCODER_N_FFT = 1024
 VOCODER_HOP = 256
 RESAMPLER_TAPS = 32
-#: output samples per block in the resampler; each output sample is computed
-#: by the same arithmetic whatever the block, so the size changes no result
+#: output samples per resampler block, shared among the lanes; each output
+#: sample is computed by the same arithmetic whatever the block, so the size
+#: changes no result
 RESAMPLER_BLOCK_ROWS = 4096
 
 
@@ -307,11 +308,12 @@ def _sinc_interpolate(x: np.ndarray, positions: np.ndarray, ratio: float) -> np.
 
     ``ratio`` is input samples per output sample; for ratio > 1 (decimation)
     the kernel cutoff drops to 1/ratio for anti-aliasing. Each lane takes
-    its range of output positions ``RESAMPLER_BLOCK_ROWS`` at a time through
-    its own ``[RESAMPLER_BLOCK_ROWS, RESAMPLER_TAPS]`` scratch, whatever the
-    length. Every output sample gets the arithmetic of the whole-array
-    formula ``cutoff * np.sinc(cutoff * u) * taper``, with ``np.sinc``
-    spelled out as its own operations, bit for bit.
+    its range of output positions a block at a time through its own
+    ``[rows, RESAMPLER_TAPS]`` scratch; the lanes' blocks add up to at most
+    ``RESAMPLER_BLOCK_ROWS`` rows, so the scratch depends on neither the
+    length nor the lane count. Every output sample gets the arithmetic of
+    the whole-array formula ``cutoff * np.sinc(cutoff * u) * taper``, with
+    ``np.sinc`` spelled out as its own operations, bit for bit.
     """
     half = RESAMPLER_TAPS // 2
     cutoff = min(1.0, 1.0 / ratio)
@@ -320,12 +322,13 @@ def _sinc_interpolate(x: np.ndarray, positions: np.ndarray, ratio: float) -> np.
     tiny = np.finfo(np.float64).eps  # np.sinc's stand-in for an exact zero
     out = np.empty(positions.size)
     cuts = _lane_cuts(positions.size)
-    rows = min(RESAMPLER_BLOCK_ROWS, cuts[1] + 1)  # lane ranges differ by at most one
+    lanes = len(cuts) - 1
+    rows = max(1, min(RESAMPLER_BLOCK_ROWS // lanes, cuts[1] + 1))  # ranges differ by <= 1
     shape = (rows, RESAMPLER_TAPS)
     scratch = [
         (np.empty(rows), np.empty(shape, np.int64), np.empty(shape), np.empty(shape),
          np.empty(shape), np.empty(shape, bool))
-        for _ in range(len(cuts) - 1)
+        for _ in range(lanes)
     ]
 
     def lane(k, lo, hi):

@@ -412,7 +412,7 @@ class TestVocoderLanes:
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     @pytest.mark.parametrize("n_in, out_len", [
-        (3 * RESAMPLER_BLOCK_ROWS + 5, 2 * RESAMPLER_BLOCK_ROWS + 7),  # down, lanes of 1-3 blocks
+        (3 * RESAMPLER_BLOCK_ROWS + 5, 2 * RESAMPLER_BLOCK_ROWS + 7),  # down, blocks per lane
         (700, 2 * RESAMPLER_BLOCK_ROWS + 1),                           # up
         (9, 2),                                                        # fewer rows than lanes
     ])

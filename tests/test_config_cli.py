@@ -822,6 +822,8 @@ def _capped_run(args, cap_bytes=1200 * 2**20):
     src = str(Path(rfaudio.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # OpenBLAS reserves buffers per thread at import; keep that small on many-core hosts
+    env["OPENBLAS_NUM_THREADS"] = "1"
     return subprocess.run([sys.executable, "-m", "rfaudio.cli", *args], capture_output=True,
                           text=True, env=env, timeout=240, preexec_fn=cap)
 
