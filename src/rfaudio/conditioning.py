@@ -34,7 +34,7 @@ from .autodiff import (
     matmul,
 )
 from .binfile import Reader, Writer
-from .optim import ParamStore
+from .optim import ParamStore, fan_in_normal, ones, small_normal, zeros
 
 logger = logging.getLogger("rfaudio.conditioning")
 
@@ -220,21 +220,13 @@ class ToyTokenProvider:
     for real instruction features.
     """
 
-    def __init__(
-        self,
-        vocab,
-        width: int,
-        store: ParamStore,
-        rng: np.random.Generator,
-        dtype=np.float32,
-    ) -> None:
+    def __init__(self, vocab, width: int, store: ParamStore) -> None:
         self.vocab = list(vocab)
         if len(set(self.vocab)) != len(self.vocab):
             raise ValueError("toy provider vocabulary has duplicate words")
         self._index = {w: i + 1 for i, w in enumerate(self.vocab)}
         self.width = int(width)
-        init = (0.02 * rng.standard_normal((1 + len(self.vocab), width))).astype(dtype)
-        self.table = store.create("mm_toy.table", init).tensor
+        self.table = store.declare("mm_toy.table", (1 + len(self.vocab), width), small_normal)
         self.oov_count = 0
 
     def provide(self, instruction: str) -> FeatureSeq:
@@ -362,39 +354,26 @@ class TranscriptEncoder:
     length always equals the input character count.
     """
 
-    def __init__(
-        self,
-        store: ParamStore,
-        width: int,
-        rng: np.random.Generator,
-        dtype=np.float32,
-    ) -> None:
+    def __init__(self, store: ParamStore, width: int) -> None:
         if width < 1:
             raise ValueError("encoder width must be at least 1")
         self.width = int(width)
         self.oov_count = 0
-
-        def make(name, arr):
-            return store.create(f"transcript.{name}", arr.astype(dtype)).tensor
-
-        def linear_init(d_in, d_out):
-            return rng.standard_normal((d_in, d_out)) / np.sqrt(d_in)
-
-        self.embed = make("embed", 0.02 * rng.standard_normal((TRANSCRIPT_VOCAB, width)))
+        self.embed = store.declare("transcript.embed", (TRANSCRIPT_VOCAB, width), small_normal)
         self.blocks = []
         hidden = 4 * width
         for i in range(4):
-            blk = {
-                "conv_w": make(f"block{i}.conv_w", rng.standard_normal((7, width)) / np.sqrt(7)),
-                "conv_b": make(f"block{i}.conv_b", np.zeros(width)),
-                "ln_gain": make(f"block{i}.ln_gain", np.ones(width)),
-                "ln_bias": make(f"block{i}.ln_bias", np.zeros(width)),
-                "expand_w": make(f"block{i}.expand_w", linear_init(width, hidden)),
-                "expand_b": make(f"block{i}.expand_b", np.zeros(hidden)),
-                "project_w": make(f"block{i}.project_w", linear_init(hidden, width)),
-                "project_b": make(f"block{i}.project_b", np.zeros(width)),
-            }
-            self.blocks.append(blk)
+            name = f"transcript.block{i}"
+            self.blocks.append({
+                "conv_w": store.declare(f"{name}.conv_w", (7, width), fan_in_normal),
+                "conv_b": store.declare(f"{name}.conv_b", (width,), zeros),
+                "ln_gain": store.declare(f"{name}.ln_gain", (width,), ones),
+                "ln_bias": store.declare(f"{name}.ln_bias", (width,), zeros),
+                "expand_w": store.declare(f"{name}.expand_w", (width, hidden), fan_in_normal),
+                "expand_b": store.declare(f"{name}.expand_b", (hidden,), zeros),
+                "project_w": store.declare(f"{name}.project_w", (hidden, width), fan_in_normal),
+                "project_b": store.declare(f"{name}.project_b", (width,), zeros),
+            })
 
     def encode(self, text: str) -> FeatureSeq:
         if not text:
@@ -421,20 +400,11 @@ class TranscriptEncoder:
 class SourceAdapter:
     """Learned linear projection of one context source into the shared width."""
 
-    def __init__(
-        self,
-        store: ParamStore,
-        name: str,
-        d_in: int,
-        d_out: int,
-        rng: np.random.Generator,
-        dtype=np.float32,
-    ) -> None:
+    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int) -> None:
         self.d_in = int(d_in)
         self.d_out = int(d_out)
-        w = (rng.standard_normal((d_in, d_out)) / np.sqrt(d_in)).astype(dtype)
-        self.w = store.create(f"{name}.w", w).tensor
-        self.b = store.create(f"{name}.b", np.zeros(d_out, dtype=dtype)).tensor
+        self.w = store.declare(f"{name}.w", (d_in, d_out), fan_in_normal)
+        self.b = store.declare(f"{name}.b", (d_out,), zeros)
 
     def apply(self, seq: FeatureSeq) -> FeatureSeq:
         if seq.width != self.d_in:
@@ -545,24 +515,13 @@ class Conditioner:
     """
 
     def __init__(
-        self,
-        store: ParamStore,
-        d_high: int,
-        d_mm: int,
-        d_trans: int,
-        d_sync: int,
-        d_mel: int,
-        rng: np.random.Generator,
-        mm_provider=None,
-        sync_provider=None,
-        dtype=np.float32,
+        self, store: ParamStore, d_high: int, d_mm: int, d_trans: int, d_sync: int, d_mel: int,
+        mm_provider=None, sync_provider=None,
     ) -> None:
         self.d_mel = int(d_mel)
-        self.encoder = TranscriptEncoder(store, d_trans, rng, dtype=dtype)
-        self.mm_adapter = SourceAdapter(store, "cond.mm_adapter", d_mm, d_high, rng, dtype)
-        self.trans_adapter = SourceAdapter(
-            store, "cond.transcript_adapter", d_trans, d_high, rng, dtype
-        )
+        self.encoder = TranscriptEncoder(store, d_trans)
+        self.mm_adapter = SourceAdapter(store, "cond.mm_adapter", d_mm, d_high)
+        self.trans_adapter = SourceAdapter(store, "cond.transcript_adapter", d_trans, d_high)
         self.mm_provider = mm_provider if mm_provider is not None else NullContextProvider(d_mm)
         self.sync_provider = (
             sync_provider if sync_provider is not None else NullSyncProvider(d_sync)

@@ -442,6 +442,10 @@ class LatentCodec:
             codec.config.n_mels,
         ):
             raise ValueError("codec stats do not match the mel channel count")
+        if not (np.isfinite(codec.mean).all() and np.isfinite(codec.std).all()):
+            raise ValueError("codec stats must be finite")
+        if not (codec.std > 0).all():
+            raise ValueError("codec std must be positive")
         return codec
 
 
@@ -480,60 +484,26 @@ def save_model(path, model: FlowModel, codec: LatentCodec | None = None, seed=No
 def load_model(path):
     """Rebuild (model, codec, meta) from a checkpoint and its sidecar.
 
-    A checkpoint whose sha256 is not the one its sidecar records raises
-    ``ValueError``: the two files come from different saves. Custom replay
-    providers are not serialized; re-attach them on the returned model's
-    conditioner if the original used any.
+    The model is built over the checkpoint's records, which must match the
+    parameters that the sidecar declares one for one in name and shape, checked
+    before anything of a declared shape is allocated. A mismatch, or a checkpoint
+    whose sha256 is not the one its sidecar records, raises ``ValueError`` naming
+    the file. Custom replay providers are not serialized; re-attach them on the
+    returned model's conditioner if the original used any.
     """
     meta, config, codec = _read_sidecar(path)
     store, step = load_checkpoint(path, sha256=meta["checkpoint_sha256"])
-    _check_sizes(path, config, store)
-    model = FlowModel(config, seed=meta.get("seed") or 0, toy_vocab=meta.get("toy_vocab"))
-    loaded = set(store.names())
-    expected = set(model.params.names())
-    if loaded != expected:
-        missing = sorted(expected - loaded)
-        extra = sorted(loaded - expected)
+    try:
+        model = FlowModel(config, toy_vocab=meta.get("toy_vocab"), loaded=store)
+        extra = [name for name in store.names() if name not in model.params]
+        if extra:
+            raise ValueError(f"the checkpoint holds records the model does not declare: {extra}")
+    except ValueError as exc:
         raise ValueError(
-            f"checkpoint does not match the model: missing {missing}, extra {extra}"
-        )
-    for p in model.params:
-        q = store[p.name]
-        if q.data.shape != p.data.shape:
-            raise ValueError(
-                f"parameter {p.name!r} has shape {q.data.shape}, expected {p.data.shape}"
-            )
-        p.data[...] = q.data
-        p.m[...] = q.m
-        p.v[...] = q.v
+            f"{_sidecar_path(path)}: 'config' and 'toy_vocab' do not match the checkpoint: {exc}"
+        ) from exc
     model.step = step
     return model, codec, meta
-
-
-def _check_sizes(path, config: ModelConfig, store) -> None:
-    """Check each size-setting config field against the records it sizes,
-    before :class:`FlowModel` allocates: a corrupt sidecar (``"width": 2**40``)
-    must be a ``ValueError`` naming it, not a ``MemoryError``.
-    """
-    sidecar, c = _sidecar_path(path), config
-    blocks = sum(n.startswith("dit.block") and n.endswith(".ln1.g") for n in store.names())
-    if blocks != c.depth:
-        raise ValueError(f"{sidecar}: 'config' sets depth {c.depth}, the checkpoint has {blocks}")
-    shapes = {
-        "dit.in.b": (c.width,),
-        "dit.out.b": (c.d_lat,),
-        "dit.block0.ck.w": (c.d_high, c.width),
-        "dit.block0.mlp.b1": (c.mlp_ratio * c.width,),
-        "cond.mm_adapter.w": (c.d_mm, c.d_high),
-        "cond.transcript_adapter.w": (c.d_trans, c.d_high),
-        "time.w2": (c.time_basis, c.d_low),
-    }
-    for name, want in shapes.items():
-        got = store[name].data.shape if name in store else None
-        if got != want:
-            raise ValueError(
-                f"{sidecar}: 'config' implies {name} of shape {want}, the checkpoint has {got}"
-            )
 
 
 def _read_sidecar(path):
@@ -541,7 +511,8 @@ def _read_sidecar(path):
 
     A sidecar that is not an object, or whose ``config``, ``seed``,
     ``toy_vocab``, ``stats`` or ``checkpoint_sha256`` is missing or
-    malformed, raises ``ValueError`` naming the sidecar.
+    malformed (a negative seed, non-finite codec stats or a std <= 0 among
+    them), raises ``ValueError`` naming the sidecar.
     """
     sidecar = _sidecar_path(path)
     meta = json.loads(sidecar.read_text())
@@ -554,8 +525,8 @@ def _read_sidecar(path):
         isinstance(vocab, list) and all(isinstance(w, str) for w in vocab)
     ):
         raise ValueError(f"{sidecar}: 'toy_vocab' must be null or a list of strings")
-    if seed is not None and type(seed) is not int:
-        raise ValueError(f"{sidecar}: 'seed' must be null or an integer")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ValueError(f"{sidecar}: 'seed' must be null or a non-negative integer")
     if stats is not None and not isinstance(stats, dict):
         raise ValueError(f"{sidecar}: 'stats' must be null or an object")
     if not isinstance(meta.get("checkpoint_sha256"), str):

@@ -31,7 +31,7 @@ from .conditioning import (
     ConditioningBundle,
     ToyTokenProvider,
 )
-from .optim import ParamStore
+from .optim import ParamStore, fan_in_normal, ones, zeros
 
 #: additive attention-score penalty for padded context keys
 MASK_PENALTY = -1e9
@@ -94,23 +94,12 @@ def time_features(t, dim: int) -> np.ndarray:
 class TimeEmbedding:
     """Sinusoidal time features refined by a learned 2-layer MLP."""
 
-    def __init__(
-        self,
-        store: ParamStore,
-        basis_dim: int,
-        d_out: int,
-        rng: np.random.Generator,
-        dtype=np.float32,
-    ) -> None:
+    def __init__(self, store: ParamStore, basis_dim: int, d_out: int) -> None:
         self.basis_dim = int(basis_dim)
-
-        def make(name, arr):
-            return store.create(f"time.{name}", arr.astype(dtype)).tensor
-
-        self.w1 = make("w1", rng.standard_normal((basis_dim, basis_dim)) / np.sqrt(basis_dim))
-        self.b1 = make("b1", np.zeros(basis_dim))
-        self.w2 = make("w2", rng.standard_normal((basis_dim, d_out)) / np.sqrt(basis_dim))
-        self.b2 = make("b2", np.zeros(d_out))
+        self.w1 = store.declare("time.w1", (basis_dim, basis_dim), fan_in_normal)
+        self.b1 = store.declare("time.b1", (basis_dim,), zeros)
+        self.w2 = store.declare("time.w2", (basis_dim, d_out), fan_in_normal)
+        self.b2 = store.declare("time.b2", (d_out,), zeros)
 
     def embed_batch(self, ts) -> Tensor:
         """Embed a vector of times into ``[len(ts), d_out]``."""
@@ -125,7 +114,8 @@ class FlowModel:
 
     All trainable parameters (transformer, time MLP, transcript encoder,
     adapters, and the optional toy token table) live in one named store
-    so the optimizer and checkpoints see a single flat list.
+    so the optimizer and checkpoints see a single flat list. They are drawn
+    from ``seed``, or taken from the checkpoint records in ``loaded``.
     """
 
     def __init__(
@@ -134,67 +124,47 @@ class FlowModel:
         seed: int = 0,
         toy_vocab=None,
         dtype=np.float32,
+        loaded: ParamStore | None = None,
     ) -> None:
         self.config = config
         self.dtype = dtype
-        self.params = ParamStore()
+        self.params = store = ParamStore(seed, dtype, loaded)
         self.step = 0
         self.forward_count = 0
         self.toy_vocab = list(toy_vocab) if toy_vocab is not None else None
-        rng = np.random.default_rng(seed)
 
         mm_provider = None
         if self.toy_vocab is not None:
-            mm_provider = ToyTokenProvider(
-                self.toy_vocab, config.d_mm, self.params, rng, dtype=dtype
-            )
+            mm_provider = ToyTokenProvider(self.toy_vocab, config.d_mm, store)
         self.conditioner = Conditioner(
-            self.params,
-            d_high=config.d_high,
-            d_mm=config.d_mm,
-            d_trans=config.d_trans,
-            d_sync=config.d_sync,
-            d_mel=config.d_mel,
-            rng=rng,
-            mm_provider=mm_provider,
-            dtype=dtype,
+            store, d_high=config.d_high, d_mm=config.d_mm, d_trans=config.d_trans,
+            d_sync=config.d_sync, d_mel=config.d_mel, mm_provider=mm_provider,
         )
-        self.time_embed = TimeEmbedding(
-            self.params, config.time_basis, config.d_low, rng, dtype
-        )
+        self.time_embed = TimeEmbedding(store, config.time_basis, config.d_low)
 
-        W, H = config.width, config.d_high
-        d_in = config.d_lat + config.d_low
-
-        def make(name, arr):
-            return self.params.create(f"dit.{name}", arr.astype(dtype)).tensor
-
-        def lin(d0, d1):
-            return rng.standard_normal((d0, d1)) / np.sqrt(d0)
-
-        self.in_w = make("in.w", lin(d_in, W))
-        self.in_b = make("in.b", np.zeros(W))
+        W, H, hidden = config.width, config.d_high, config.mlp_ratio * config.width
+        self.in_w = store.declare("dit.in.w", (config.d_lat + config.d_low, W), fan_in_normal)
+        self.in_b = store.declare("dit.in.b", (W,), zeros)
         self.blocks = []
         for i in range(config.depth):
+            name = f"dit.block{i}"
             blk = {}
             for ln in ("ln1", "ln2", "ln3"):
-                blk[f"{ln}_g"] = make(f"block{i}.{ln}.g", np.ones(W))
-                blk[f"{ln}_b"] = make(f"block{i}.{ln}.b", np.zeros(W))
-            for proj in ("q", "k", "v", "o", "cq", "co"):
-                blk[f"{proj}_w"] = make(f"block{i}.{proj}.w", lin(W, W))
-                blk[f"{proj}_b"] = make(f"block{i}.{proj}.b", np.zeros(W))
-            for proj in ("ck", "cv"):
-                blk[f"{proj}_w"] = make(f"block{i}.{proj}.w", lin(H, W))
-                blk[f"{proj}_b"] = make(f"block{i}.{proj}.b", np.zeros(W))
-            blk["mlp_w1"] = make(f"block{i}.mlp.w1", lin(W, config.mlp_ratio * W))
-            blk["mlp_b1"] = make(f"block{i}.mlp.b1", np.zeros(config.mlp_ratio * W))
-            blk["mlp_w2"] = make(f"block{i}.mlp.w2", lin(config.mlp_ratio * W, W))
-            blk["mlp_b2"] = make(f"block{i}.mlp.b2", np.zeros(W))
+                blk[f"{ln}_g"] = store.declare(f"{name}.{ln}.g", (W,), ones)
+                blk[f"{ln}_b"] = store.declare(f"{name}.{ln}.b", (W,), zeros)
+            for proj in ("q", "k", "v", "o", "cq", "co", "ck", "cv"):
+                d_in = H if proj in ("ck", "cv") else W
+                blk[f"{proj}_w"] = store.declare(f"{name}.{proj}.w", (d_in, W), fan_in_normal)
+                blk[f"{proj}_b"] = store.declare(f"{name}.{proj}.b", (W,), zeros)
+            blk["mlp_w1"] = store.declare(f"{name}.mlp.w1", (W, hidden), fan_in_normal)
+            blk["mlp_b1"] = store.declare(f"{name}.mlp.b1", (hidden,), zeros)
+            blk["mlp_w2"] = store.declare(f"{name}.mlp.w2", (hidden, W), fan_in_normal)
+            blk["mlp_b2"] = store.declare(f"{name}.mlp.b2", (W,), zeros)
             self.blocks.append(blk)
-        self.final_g = make("final_ln.g", np.ones(W))
-        self.final_b = make("final_ln.b", np.zeros(W))
-        self.out_w = make("out.w", np.zeros((W, config.d_lat)))
-        self.out_b = make("out.b", np.zeros(config.d_lat))
+        self.final_g = store.declare("dit.final_ln.g", (W,), ones)
+        self.final_b = store.declare("dit.final_ln.b", (W,), zeros)
+        self.out_w = store.declare("dit.out.w", (W, config.d_lat), zeros)
+        self.out_b = store.declare("dit.out.b", (config.d_lat,), zeros)
 
     # -- forward ----------------------------------------------------------
 

@@ -1,5 +1,12 @@
 """Parameters, AdamW, and the binary checkpoint format.
 
+Every model component declares each of its parameters once, through
+:meth:`ParamStore.declare`, as a name, a shape and an initialiser
+(:func:`fan_in_normal`, :func:`small_normal`, :func:`zeros`, :func:`ones`).
+A fresh store draws the parameter from its seed; a store built over a loaded
+checkpoint takes the record of that name instead, after checking its shape,
+so the declarations are the one description of the checkpoint's layout.
+
 Checkpoint layout (little-endian): magic ``RFADCKPT``, u32 format version,
 u64 step counter, u32 parameter count, then per parameter a length-prefixed
 utf-8 name, u32 ndim + u32 extents, and three float32 payloads (data, first
@@ -43,18 +50,65 @@ class Parameter:
         return self.tensor.data
 
 
-class ParamStore:
-    """Ordered name -> Parameter mapping with unique names."""
+def fan_in_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard normal draws scaled by ``1 / sqrt(shape[0])``, the fan-in."""
+    return rng.standard_normal(shape) / np.sqrt(shape[0])
 
-    def __init__(self) -> None:
+
+def small_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal draws with standard deviation 0.02 (embedding tables)."""
+    return 0.02 * rng.standard_normal(shape)
+
+
+def zeros(rng: np.random.Generator, shape) -> np.ndarray:
+    return np.zeros(shape)
+
+
+def ones(rng: np.random.Generator, shape) -> np.ndarray:
+    return np.ones(shape)
+
+
+class ParamStore:
+    """Ordered name -> Parameter mapping with unique names.
+
+    ``seed`` and ``dtype`` govern the parameters that :meth:`declare` draws.
+    With ``loaded`` (a store read by :func:`load_checkpoint`), :meth:`declare`
+    takes each parameter from those records instead and draws nothing.
+    """
+
+    def __init__(self, seed: int = 0, dtype=np.float32, loaded: ParamStore | None = None) -> None:
+        self.dtype = dtype
+        self._loaded = loaded
+        self._rng = np.random.default_rng(seed) if loaded is None else None
         self._params: dict[str, Parameter] = {}
         self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._spans: list[tuple[Parameter, int, int]] = []  # (parameter, start, end)
 
+    def declare(self, name: str, shape: tuple, init) -> Tensor:
+        """The tensor of parameter ``name``, of ``shape``, drawn or loaded.
+
+        A fresh store draws ``init(rng, shape)`` in float64 and casts it to the
+        store's dtype. A loaded store takes the record ``name`` as it is; a
+        missing record or one of another shape raises ``ValueError`` before
+        anything of ``shape`` is allocated.
+        """
+        if self._loaded is None:
+            return self.create(name, init(self._rng, shape).astype(self.dtype)).tensor
+        record = self._loaded._params.get(name)
+        got = None if record is None else record.data.shape
+        if got != shape:
+            raise ValueError(
+                f"the model declares {name!r} of shape {shape}, the checkpoint has {got}"
+            )
+        return self._add(record).tensor
+
     def create(self, name: str, data: np.ndarray) -> Parameter:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        p = self._params[name] = Parameter(name, data)
+        return self._add(Parameter(name, data))
+
+    def _add(self, p: Parameter) -> Parameter:
+        if p.name in self._params:
+            raise ValueError(f"duplicate parameter name {p.name!r}")
+        self._params[p.name] = p
         self._flat = None
         return p
 

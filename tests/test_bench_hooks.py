@@ -11,7 +11,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import rfaudio.flow as flow
 from rfaudio.cli import EXIT_OK, main
+from rfaudio.data import ToyModesDataset, toy_vocabulary
+from rfaudio.model import FlowModel, ModelConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -67,3 +70,26 @@ def test_forge_spans_nest_and_count_once_per_triplet(tmp_path, capsys):
     for name in ("audio.time_stretch", "audio.pitch_shift", "audio.mix_at_snr",
                  "dataforge.compose"):
         assert names.count(name) == generated, name
+
+
+def test_train_and_sample_hooks_read_the_model():
+    """The optimizer hook sizes the store it is handed; the sampling hook counts
+    two network evaluations per guided step."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer("train-sample")
+    config = ModelConfig(d_lat=2, d_mel=2, d_sync=1, d_mm=4, d_trans=4, d_high=8,
+                         width=8, depth=1, heads=2, mlp_ratio=2, time_basis=4)
+    model = FlowModel(config, seed=0, toy_vocab=toy_vocabulary())
+    steps = 2
+    with tracing.instrument(tracer):
+        flow.train(model, ToyModesDataset(model, items_per_epoch=4), steps,
+                   flow.TrainConfig(batch_size=2, log_every=0))
+        bundles = [model.conditioner.assemble(1, instruction="mode0")]
+        flow.sample_batch(model, bundles, (1, 2),
+                          flow.SamplerConfig(steps=steps, guidance_scale=3.0))
+    samples = tracer.samples
+    assert samples["optim.param_arrays"] == [len(model.params)]
+    assert samples["optim.scalars"] == [model.params.n_scalars()]
+    assert samples["nfe_per_call"] == [2 * steps]
+    names = [span[0] for span in tracer.spans]
+    assert names.count("flow.train_step") == steps

@@ -123,40 +123,40 @@ class TestReplayFiles:
 
 
 class TestMmProviders:
-    def test_toy_token_count(self, rng):
+    def test_toy_token_count(self):
         store = ParamStore()
-        provider = ToyTokenProvider(["dog", "bark"], 6, store, rng)
+        provider = ToyTokenProvider(["dog", "bark"], 6, store)
         seq = provider.provide("dog bark")
         assert seq.length == 2
         assert seq.width == 6
 
-    def test_toy_rows_come_from_table(self, rng):
+    def test_toy_rows_come_from_table(self):
         store = ParamStore()
-        provider = ToyTokenProvider(["a", "b"], 4, store, rng)
+        provider = ToyTokenProvider(["a", "b"], 4, store)
         table = store["mm_toy.table"].data
         seq = provider.provide("b a")
         assert np.array_equal(seq.tokens.data[0], table[2])
         assert np.array_equal(seq.tokens.data[1], table[1])
 
-    def test_toy_unknown_word_counted(self, rng):
+    def test_toy_unknown_word_counted(self):
         store = ParamStore()
-        provider = ToyTokenProvider(["dog"], 4, store, rng)
+        provider = ToyTokenProvider(["dog"], 4, store)
         seq = provider.provide("cat dog")
         assert provider.oov_count == 1
         assert np.array_equal(seq.tokens.data[0], store["mm_toy.table"].data[0])
 
-    def test_toy_table_is_trainable(self, rng):
+    def test_toy_table_is_trainable(self):
         store = ParamStore()
-        provider = ToyTokenProvider(["dog"], 4, store, rng)
+        provider = ToyTokenProvider(["dog"], 4, store)
         out = provider.provide("dog")
         tsum(out.tokens).backward()
         grad = store["mm_toy.table"].tensor.grad
         assert grad is not None
         assert np.all(grad[1] == 1.0)
 
-    def test_empty_instruction_yields_empty(self, rng):
+    def test_empty_instruction_yields_empty(self):
         store = ParamStore()
-        provider = ToyTokenProvider(["dog"], 4, store, rng)
+        provider = ToyTokenProvider(["dog"], 4, store)
         assert provider.provide("").length == 0
 
     def test_null_provider(self):
@@ -234,8 +234,8 @@ class TestSyncProviders:
 
 class TestTranscriptEncoder:
     def make_encoder(self, width=6, seed=0, dtype=np.float32):
-        store = ParamStore()
-        enc = TranscriptEncoder(store, width, np.random.default_rng(seed), dtype=dtype)
+        store = ParamStore(seed, dtype)
+        enc = TranscriptEncoder(store, width)
         return store, enc
 
     def test_empty_string(self):
@@ -318,17 +318,17 @@ class TestHighStream:
         from rfaudio.conditioning import SourceAdapter
 
         store = ParamStore()
-        adapter = SourceAdapter(store, "ad", 5, 8, rng)
+        adapter = SourceAdapter(store, "ad", 5, 8)
         out = adapter.apply(make_seq(rng, 3, 5))
         assert out.width == 8
         tsum(out.tokens).backward()
         assert store["ad.w"].tensor.grad is not None
 
-    def test_adapter_empty_input(self, rng):
+    def test_adapter_empty_input(self):
         from rfaudio.conditioning import SourceAdapter
 
         store = ParamStore()
-        adapter = SourceAdapter(store, "ad", 5, 8, rng)
+        adapter = SourceAdapter(store, "ad", 5, 8)
         out = adapter.apply(FeatureSeq.empty(5))
         assert out.length == 0 and out.width == 8
 
@@ -466,17 +466,16 @@ class TestConditionDropout:
 
 
 class TestConditionerAssembly:
-    def make_conditioner(self, rng, vocab=("dog", "bark"), d_mel=5):
+    def make_conditioner(self, vocab=("dog", "bark"), d_mel=5):
         store = ParamStore()
-        provider = ToyTokenProvider(list(vocab), 6, store, rng)
+        provider = ToyTokenProvider(list(vocab), 6, store)
         cond = Conditioner(
-            store, d_high=8, d_mm=6, d_trans=6, d_sync=3, d_mel=d_mel,
-            rng=rng, mm_provider=provider,
+            store, d_high=8, d_mm=6, d_trans=6, d_sync=3, d_mel=d_mel, mm_provider=provider,
         )
         return store, cond
 
     def test_bundle_shapes_and_flags(self, rng):
-        _, cond = self.make_conditioner(rng)
+        _, cond = self.make_conditioner()
         mel = FrameFeatures(rng.standard_normal((10, 5)).astype(np.float32))
         bundle = cond.assemble(10, instruction="dog bark", transcript="dog", mel=mel)
         assert bundle.low.frame_count == 10
@@ -484,27 +483,27 @@ class TestConditionerAssembly:
         assert bundle.high.length == 2 + 3
         assert bundle.high.width == 8
 
-    def test_unconditional_assembly(self, rng):
+    def test_unconditional_assembly(self):
         store = ParamStore()
-        cond = Conditioner(store, d_high=8, d_mm=6, d_trans=6, d_sync=3, d_mel=5, rng=rng)
+        cond = Conditioner(store, d_high=8, d_mm=6, d_trans=6, d_sync=3, d_mel=5)
         bundle = cond.assemble(7)
         assert bundle.high.length == 0
         assert bundle.low.frame_count == 7
         assert not bundle.low.validity.any()
 
-    def test_mel_frame_mismatch(self, rng):
-        _, cond = self.make_conditioner(rng)
+    def test_mel_frame_mismatch(self):
+        _, cond = self.make_conditioner()
         mel = FrameFeatures.zeros(9, 5)
         with pytest.raises(ValueError):
             cond.assemble(10, mel=mel)
 
-    def test_mel_width_mismatch(self, rng):
-        _, cond = self.make_conditioner(rng)
+    def test_mel_width_mismatch(self):
+        _, cond = self.make_conditioner()
         with pytest.raises(ValueError):
             cond.assemble(10, mel=FrameFeatures.zeros(10, 4))
 
-    def test_gradients_reach_adapters_and_encoder(self, rng):
-        store, cond = self.make_conditioner(rng)
+    def test_gradients_reach_adapters_and_encoder(self):
+        store, cond = self.make_conditioner()
         bundle = cond.assemble(10, instruction="dog", transcript="hi")
         tsum(bundle.high.tokens * bundle.high.tokens).backward()
         assert store["cond.mm_adapter.w"].tensor.grad is not None

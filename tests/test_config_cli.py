@@ -544,9 +544,13 @@ class TestSampleCommand:
         lambda meta: {**meta, "stats": {**meta["stats"], "mean": [[1]]}},
         lambda meta: {**meta, "config": {**meta["config"], "width": 2**40}},
         lambda meta: {**meta, "config": {**meta["config"], "depth": 2**31}},
+        lambda meta: {**meta, "stats": {**meta["stats"],
+                                        "mean": [float("nan")] + meta["stats"]["mean"][1:]}},
+        lambda meta: {**meta, "stats": {**meta["stats"], "std": [0.0] * len(meta["stats"]["std"])}},
+        lambda meta: {**meta, "seed": -5},
     ], ids=["list_root", "no_config", "unknown_key", "string_width", "vocab_int",
             "vocab_of_ints", "stats_list", "stats_bad_mel", "stats_bad_mean",
-            "huge_width", "huge_depth"])
+            "huge_width", "huge_depth", "stats_nan_mean", "stats_zero_std", "negative_seed"])
     def test_malformed_sidecar(self, workspace, tmp_path, capsys, corrupt):
         ckpt = tmp_path / "m.ckpt"
         ckpt.write_bytes(Path(workspace["ckpt"]).read_bytes())
@@ -558,6 +562,26 @@ class TestSampleCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert rc == EXIT_DATA
         assert err["error"] == "data" and str(sidecar) in err["message"]
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("field", [
+        "d_lat", "d_mel", "d_sync", "d_mm", "d_trans", "d_high", "mlp_ratio", "time_basis",
+        "toy_vocab",
+    ])
+    def test_sidecar_size_field_off_by_one(self, workspace, tmp_path, capsys, field, delta):
+        """Every sidecar field that sets a parameter shape, one off, is refused
+        naming the sidecar. ``toy_vocab`` gains or loses a word. ``heads`` only
+        splits the width, so it sets no shape and is left out. An odd
+        ``time_basis`` and a zero ``d_sync`` are refused by ``ModelConfig`` before
+        the layout is consulted."""
+
+        def corrupt(meta):
+            if field == "toy_vocab":
+                vocab = meta["toy_vocab"]
+                return {**meta, "toy_vocab": vocab + ["zzz-extra"] if delta > 0 else vocab[:-1]}
+            return {**meta, "config": {**meta["config"], field: meta["config"][field] + delta}}
+
+        self.test_malformed_sidecar(workspace, tmp_path, capsys, corrupt)
 
 
 class TestEditCommand:

@@ -665,6 +665,20 @@ class TestSaveLoad:
             for got, want in ((q.data, p.data), (q.m, p.m), (q.v, p.v)):
                 assert np.array_equal(got, want), p.name
 
+    @pytest.mark.parametrize("config, seed, vocab, digest", [
+        (ModelConfig(), 3, None,
+         "dbf19196ebfcf748fd5b85cdede6ae33635db7bb2641057b74fc43b76825326d"),
+        (ModelConfig(d_lat=2, d_mel=2), 7, [f"mode{k}" for k in range(8)],
+         "feabad1d7c46aa00323400af991d843e46140395593547edd83934619ba5f37d"),
+    ], ids=["default_seed3", "toy_vocab_seed7"])
+    def test_fresh_checkpoint_bytes_pinned(self, tmp_path, config, seed, vocab, digest):
+        """A freshly drawn model saves to the same bytes: the draw order, the
+        float64 initialiser arithmetic, the cast to float32 and the record
+        order are all pinned."""
+        path = tmp_path / "model.ckpt"
+        save_model(path, FlowModel(config, seed=seed, toy_vocab=vocab))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_sidecar_content(self, tmp_path, rng):
         model = FlowModel(TINY, seed=0)
         path = tmp_path / "model.ckpt"

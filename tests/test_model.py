@@ -83,15 +83,15 @@ class TestTimeFeatures:
         for dim in (2, 8, 64):
             want = np.stack([time_features(t, dim) for t in ts])
             assert time_features(ts, dim).tobytes() == want.tobytes()
-        emb = TimeEmbedding(ParamStore(), 64, 5, np.random.default_rng(0))
+        emb = TimeEmbedding(ParamStore(), 64, 5)
         feats = Tensor(want.astype(np.float32))
         h = gelu(add(matmul(feats, emb.w1), emb.b1))
         want_out = add(matmul(h, emb.w2), emb.b2).data
         assert emb.embed_batch(ts).data.tobytes() == want_out.tobytes()
 
     def test_mlp_gradcheck(self):
-        store = ParamStore()
-        emb = TimeEmbedding(store, 8, 5, np.random.default_rng(0), dtype=np.float64)
+        store = ParamStore(dtype=np.float64)
+        emb = TimeEmbedding(store, 8, 5)
         tensors = [p.tensor for p in store]
 
         def f(*_):
