@@ -72,9 +72,6 @@ class AudioBuffer:
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate
 
-    def copy(self) -> "AudioBuffer":
-        return AudioBuffer(self.samples.copy(), self.sample_rate)
-
 
 # ---------------------------------------------------------------------------
 # DSP lanes
@@ -451,17 +448,19 @@ def mix_at_snr(
 # ---------------------------------------------------------------------------
 
 
-def vad_activity_ratio(
-    buffer: AudioBuffer, frame_ms: float = 30.0, threshold_db: float = -40.0
-) -> float:
-    """Fraction of non-overlapping frames whose RMS (dBFS) exceeds threshold.
+#: frame length of :func:`vad_activity_ratio`
+VAD_FRAME_MS = 30.0
+#: RMS level (dBFS) a frame must exceed to count as active
+VAD_THRESHOLD_DB = -40.0
+
+
+def vad_activity_ratio(buffer: AudioBuffer) -> float:
+    """Fraction of non-overlapping ``VAD_FRAME_MS`` frames whose RMS exceeds ``VAD_THRESHOLD_DB``.
 
     Only complete frames count; an empty or shorter-than-one-frame buffer
     has ratio 0.
     """
-    if frame_ms <= 0:
-        raise ValueError("frame_ms must be positive")
-    frame_len = int(round(buffer.sample_rate * frame_ms / 1000.0))
+    frame_len = int(round(buffer.sample_rate * VAD_FRAME_MS / 1000.0))
     if frame_len <= 0 or len(buffer) < frame_len:
         return 0.0
     n = len(buffer) // frame_len
@@ -469,7 +468,7 @@ def vad_activity_ratio(
     power = np.mean(frames**2, axis=1)
     with np.errstate(divide="ignore"):
         rms_db = 10.0 * np.log10(power)  # == 20*log10(rms)
-    return float(np.mean(rms_db > threshold_db))
+    return float(np.mean(rms_db > VAD_THRESHOLD_DB))
 
 
 # ---------------------------------------------------------------------------

@@ -72,17 +72,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -145,24 +134,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, -other if isinstance(other, Tensor) else -float(other))
-
-    def __rsub__(self, other):
-        return add(-self, other)
-
-    def __truediv__(self, other):
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
 
 
 def _make(name: str, data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -319,12 +290,16 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False):
     return mul(tsum(a, axis, keepdims), 1.0 / float(count))
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5):
+#: added to the variance in :func:`layer_norm` before the square root
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor):
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = xc * inv
     data = y * gain.data + bias.data
 
@@ -494,7 +469,11 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, hea
 # ---------------------------------------------------------------------------
 
 
-def gradcheck(f, inputs: Sequence[Tensor], eps: float = 1e-5) -> float:
+#: central-difference step of :func:`gradcheck`
+GRADCHECK_EPS = 1e-5
+
+
+def gradcheck(f, inputs: Sequence[Tensor]) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` maps the live ``inputs`` to a scalar Tensor; gradients are checked
@@ -528,16 +507,16 @@ def gradcheck(f, inputs: Sequence[Tensor], eps: float = 1e-5) -> float:
         aflat = ana.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + GRADCHECK_EPS
             with no_grad():
                 f_plus = float(f(inputs).data)
-            flat[i] = orig - eps
+            flat[i] = orig - GRADCHECK_EPS
             with no_grad():
                 f_minus = float(f(inputs).data)
             flat[i] = orig
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                 raise NonFiniteError("non-finite value while perturbing gradcheck input")
-            num = (f_plus - f_minus) / (2.0 * eps)
+            num = (f_plus - f_minus) / (2.0 * GRADCHECK_EPS)
             rel = abs(aflat[i] - num) / max(abs(aflat[i]), abs(num), 1e-8)
             worst = max(worst, rel)
     return worst

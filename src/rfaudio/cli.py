@@ -63,7 +63,7 @@ def _cmd_forge(args, config: RunConfig) -> int:
     # the top-level seed drives the forge; the echo records the config that ran
     config = replace(config, forge=replace(config.forge, seed=config.seed))
     if args.library is not None:
-        library = FolderLibrary(args.library)
+        library = FolderLibrary(args.library, config.session_rate)
     else:
         library = SyntheticLibrary(
             sample_rate=config.session_rate,
@@ -118,6 +118,12 @@ def _load_checkpoint(path_str: str):
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
 
 
+def _checkpoint_config(config: RunConfig, model: FlowModel, codec: LatentCodec) -> RunConfig:
+    """``config`` with the model, mel and session rate the checkpoint decides, for the echo."""
+    return replace(config, model=model.config, mel=codec.config,
+                   session_rate=codec.config.sample_rate)
+
+
 def _render(args, config: RunConfig, model: FlowModel, codec: LatentCodec, frames: int,
             **prompt):
     """Sample ``frames`` latent frames for the instruction, vocode them, write ``args.out``."""
@@ -155,7 +161,7 @@ def _cmd_sample(args, config: RunConfig) -> int:
         "frames": frames,
         "duration_s": wav.duration_s,
         "instruction": args.instruction,
-        "config": to_dict(config),
+        "config": to_dict(_checkpoint_config(config, model, codec)),
         "seeds": {"seed": config.seed, "sampler": config.sampler.seed},
     })
     return EXIT_OK
@@ -177,7 +183,7 @@ def _cmd_edit(args, config: RunConfig) -> int:
         "source_frames": frames,
         "output_frames": mel_spectrogram(wav, codec.config).n_frames,
         "instruction": args.instruction,
-        "config": to_dict(config),
+        "config": to_dict(_checkpoint_config(config, model, codec)),
         "seeds": {"seed": config.seed, "sampler": config.sampler.seed},
     })
     return EXIT_OK

@@ -310,11 +310,13 @@ class FolderLibrary:
 
     The directory name is the label; files under ``background/`` serve as
     scene beds and are excluded from :meth:`labels`. Clip ids are
-    ``"<label>/<filename-without-extension>"``.
+    ``"<label>/<filename-without-extension>"``. Clips resolve at
+    ``sample_rate``: a file at another rate is resampled on load.
     """
 
-    def __init__(self, root) -> None:
+    def __init__(self, root, sample_rate: int) -> None:
         self.root = Path(root)
+        self.sample_rate = int(sample_rate)
         if not self.root.is_dir():
             raise ValueError(f"library root {self.root} is not a directory")
         self._clips: dict[str, list[str]] = {}
@@ -340,7 +342,7 @@ class FolderLibrary:
         return wav_duration_s(self._path(clip_id))
 
     def resolve(self, clip_id: str) -> AudioBuffer:
-        return read_wav(self._path(clip_id))
+        return read_wav(self._path(clip_id), session_rate=self.sample_rate)
 
     def _path(self, clip_id: str) -> Path:
         label, _, stem = clip_id.partition("/")

@@ -182,6 +182,17 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.lr < 0:
             raise ValueError("lr must be non-negative")
+        if not 0.0 <= self.dropout_p <= 1.0:
+            raise ValueError(f"dropout_p must lie in [0, 1], got {self.dropout_p}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
+        if self.log_every < 0:
+            raise ValueError("log_every must be non-negative")
 
 
 class TrainResult(NamedTuple):
@@ -280,6 +291,8 @@ class SamplerConfig:
             raise ValueError("guidance_scale must be non-negative")
         if self.solver not in ("euler", "midpoint"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def sample(
@@ -386,14 +399,15 @@ class LatentCodec:
     def fitted(self) -> bool:
         return self.mean is not None
 
+    def _frames(self, mel: MelSpectrogram) -> np.ndarray:
+        """``mel``'s frames in float64, after checking its config is the codec's."""
+        if mel.config != self.config:
+            raise ValueError("mel configuration does not match the codec")
+        return mel.frames.astype(np.float64)
+
     def fit(self, mels) -> "LatentCodec":
         """Fit per-channel mean/std over all frames of all corpus items."""
-        frames = []
-        for m in mels:
-            arr = m.frames if isinstance(m, MelSpectrogram) else np.asarray(m)
-            if arr.ndim != 2 or arr.shape[1] != self.config.n_mels:
-                raise ValueError(f"expected [T, {self.config.n_mels}] frames")
-            frames.append(arr.astype(np.float64))
+        frames = [self._frames(m) for m in mels]
         if not frames:
             raise ValueError("cannot fit codec stats on an empty corpus")
         stacked = np.concatenate(frames, axis=0)
@@ -401,18 +415,10 @@ class LatentCodec:
         self.std = np.maximum(stacked.std(axis=0), 1e-12)
         return self
 
-    def encode(self, mel) -> np.ndarray:
+    def encode(self, mel: MelSpectrogram) -> np.ndarray:
         if not self.fitted:
             raise CodecError("codec stats not fitted; call fit() or load them")
-        if isinstance(mel, MelSpectrogram):
-            if mel.config != self.config:
-                raise ValueError("mel configuration does not match the codec")
-            arr = mel.frames
-        else:
-            arr = np.asarray(mel)
-            if arr.ndim != 2 or arr.shape[1] != self.config.n_mels:
-                raise ValueError(f"expected [T, {self.config.n_mels}] frames")
-        return (arr.astype(np.float64) - self.mean) / self.std
+        return (self._frames(mel) - self.mean) / self.std
 
     def decode(self, latent) -> MelSpectrogram:
         if not self.fitted:

@@ -26,11 +26,7 @@ from .autodiff import (
     scaled_dot_product_attention,
     stack,
 )
-from .conditioning import (
-    Conditioner,
-    ConditioningBundle,
-    ToyTokenProvider,
-)
+from .conditioning import Conditioner, ToyTokenProvider
 from .optim import ParamStore, fan_in_normal, ones, zeros
 
 #: additive attention-score penalty for padded context keys
@@ -234,25 +230,6 @@ class FlowModel:
 
         h = layer_norm(x, self.final_g, self.final_b)
         return matmul(h, self.out_w, self.out_b)
-
-
-def dit_forward(x_t, t: float, bundle: ConditioningBundle, model: FlowModel) -> Tensor:
-    """Predicted velocity for one example; shape equals the latent shape.
-
-    Cross-attention is skipped entirely when the context stream is empty,
-    so the unconditional pass is the same network minus those sublayers.
-    """
-    x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t))
-    if x.data.ndim != 2:
-        raise ValueError(f"latent must be [T, d_lat], got shape {x.data.shape}")
-    T, d = x.data.shape
-    if bundle.low.frame_count != T:
-        raise ValueError(
-            f"frame stream has {bundle.low.frame_count} frames, latent has {T}"
-        )
-    high_tokens, high_valid, low = collate_bundles([bundle], dtype=model.dtype)
-    out = model._forward(reshape(x, (1, T, d)), np.array([t]), high_tokens, high_valid, low)
-    return reshape(out, (T, d))
 
 
 def collate_bundles(bundles, dtype=np.float32):

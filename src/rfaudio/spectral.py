@@ -126,7 +126,8 @@ def istft(frames: np.ndarray, cfg: MelConfig) -> AudioBuffer:
 
 
 @lru_cache(maxsize=64)
-def _filterbank_cached(cfg: MelConfig) -> np.ndarray:
+def mel_filterbank(cfg: MelConfig) -> np.ndarray:
+    """Triangular mel filterbank [n_mels, n_fft//2+1], peaks at 1, cached per config."""
     bin_hz = np.arange(cfg.n_bins, dtype=np.float64) * cfg.sample_rate / cfg.n_fft
     pts = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
     lo, ctr, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
@@ -141,11 +142,6 @@ def _filterbank_cached(cfg: MelConfig) -> np.ndarray:
         )
     fb.setflags(write=False)
     return fb
-
-
-def mel_filterbank(cfg: MelConfig) -> np.ndarray:
-    """Triangular mel filterbank [n_mels, n_fft//2+1], peaks at 1, cached per config."""
-    return _filterbank_cached(cfg)
 
 
 def mel_spectrogram(buffer: AudioBuffer, cfg: MelConfig) -> MelSpectrogram:
@@ -179,11 +175,6 @@ def mel_spectrogram(buffer: AudioBuffer, cfg: MelConfig) -> MelSpectrogram:
     return MelSpectrogram(cfg, frames)
 
 
-def mel_center_frequencies(cfg: MelConfig) -> np.ndarray:
-    pts = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
-    return pts[1:-1]
-
-
 # ---------------------------------------------------------------------------
 # Griffin-Lim inversion (stands in for a learned decoder)
 # ---------------------------------------------------------------------------
@@ -191,7 +182,7 @@ def mel_center_frequencies(cfg: MelConfig) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _nnls_step_size(cfg: MelConfig) -> float:
-    fb = _filterbank_cached(cfg)
+    fb = mel_filterbank(cfg)
     sigma_max = np.linalg.norm(fb, 2)
     return 1.0 / (2.0 * sigma_max**2)
 
@@ -202,7 +193,7 @@ def _mel_to_linear_power(mel_power: np.ndarray, cfg: MelConfig) -> np.ndarray:
     The steps run in place on whole arrays: products over row blocks would
     take other BLAS kernels and change the result's bits.
     """
-    fb = _filterbank_cached(cfg)  # [M, bins]
+    fb = mel_filterbank(cfg)  # [M, bins]
     scale = _nnls_step_size(cfg) * 2.0
     p = mel_power @ fb  # adjoint init, non-negative
     resid = np.empty_like(mel_power)

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, gradcheck
 from .conditioning import FrameFeatures
-from .model import FlowModel, ModelConfig, dit_forward
+from .model import FlowModel, ModelConfig, collate_bundles
 
 OP_TOLERANCE = 1e-5
 MODEL_TOLERANCE = 1e-4
@@ -121,16 +121,17 @@ def check_flow_model(seed: int = 0) -> float:
     model = FlowModel(config, seed=seed, toy_vocab=["dog"], dtype=np.float64)
     rng = np.random.default_rng(seed + 1)
     frames = 3
-    x_t = rng.standard_normal((frames, config.d_lat))
+    x_t = Tensor(rng.standard_normal((1, frames, config.d_lat)))
     mel = FrameFeatures(rng.standard_normal((frames, config.d_mel)))
-    target = Tensor(rng.standard_normal((frames, config.d_lat)), requires_grad=False)
+    target = Tensor(rng.standard_normal((1, frames, config.d_lat)))
     params = [p.tensor for p in model.params]
 
     def loss(_inputs):
         bundle = model.conditioner.assemble(
             frames, instruction="dog", transcript="dog", mel=mel
         )
-        out = dit_forward(x_t, 0.4, bundle, model)
+        high_tokens, high_valid, low = collate_bundles([bundle], dtype=model.dtype)
+        out = model._forward(x_t, np.array([0.4]), high_tokens, high_valid, low)
         diff = out - target
         return ad.tmean(diff * diff)
 

@@ -10,6 +10,7 @@ from rfaudio import audio
 from rfaudio.audio import (
     RESAMPLER_BLOCK_ROWS,
     RESAMPLER_TAPS,
+    VAD_FRAME_MS,
     AudioBuffer,
     TruncatedWavError,
     UnsupportedWavError,
@@ -260,14 +261,14 @@ class TestVad:
 
     def test_full_scale(self):
         buf = AudioBuffer(np.ones(8000) * 0.999, 8000)
-        assert vad_activity_ratio(buf, frame_ms=30, threshold_db=-40) == 1.0
+        assert vad_activity_ratio(buf) == 1.0
 
     def test_half_silence_half_tone(self):
         sr = 8000
-        frame = int(sr * 0.03)
+        frame = int(sr * VAD_FRAME_MS / 1000)
         tone = 0.709 * np.sin(2 * np.pi * 500 * np.arange(10 * frame) / sr)  # ~ -6 dBFS
         x = np.concatenate([np.zeros(10 * frame), tone])
-        assert vad_activity_ratio(AudioBuffer(x, sr), 30, -40) == 0.5
+        assert vad_activity_ratio(AudioBuffer(x, sr)) == 0.5
 
     def test_empty(self):
         assert vad_activity_ratio(AudioBuffer(np.zeros(0), 8000)) == 0.0

@@ -371,6 +371,30 @@ class TestForgeCommand:
         assert err["error"] == "config" and "pcm24" in err["message"]
         assert not root.exists()
 
+    def test_library_at_another_rate_forges_at_session_rate(self, tmp_path, capsys):
+        """An 8 kHz folder library forges a corpus that ``eval`` reads at the session rate."""
+        library = SyntheticLibrary(sample_rate=8000, clip_seconds=0.5, background_seconds=2.0,
+                                   seed=1)
+        clip_ids = library.background_ids() + [
+            clip for label in library.labels() for clip in library.clip_ids(label)
+        ]
+        for clip_id in clip_ids:
+            path = tmp_path / "library" / f"{clip_id}.wav"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_wav(library.resolve(clip_id), path)
+        root = tmp_path / "corpus"
+        rate = ["--session_rate", "16000", "--mel.sample_rate", "16000",
+                "--forge.items_per_task", "1", "--forge.duration_s", "1.0"]
+        assert main(["forge", "--root", str(root), "--library", str(tmp_path / "library"),
+                     *rate]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["session_rate"] == 16000
+        items = json.loads((root / "manifest.json").read_text())["items"]
+        assert len(items) >= 2
+        for item in items:
+            assert read_wav(root / item["source_path"]).sample_rate == 16000
+        assert main(["eval", "--manifest", str(root), *rate]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["counts"]["pairs"] == len(items)
+
     def test_top_level_seed_changes_data(self, workspace, tmp_path, capsys):
         root = tmp_path / "seeded"
         assert main(["forge", "--config", workspace["cfg"], "--root", str(root),
@@ -649,6 +673,28 @@ class TestEditCommand:
                    "--instruction", "x", "--out", str(tmp_path / "out.wav"), "--gl-iters", "2"])
         capsys.readouterr()
         assert rc == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["sample", "edit"])
+def test_echo_is_the_checkpoint_config(workspace, tmp_path, capsys, command):
+    """The report echoes the model, mel and rate the checkpoint decided, not the run's."""
+    manifest = json.loads((workspace["data"] / "manifest.json").read_text())
+    source = workspace["data"] / manifest["items"][0]["source_path"]
+    extra = ["--frames", "4"] if command == "sample" else ["--source", str(source)]
+    wavs, reports = [], []
+    for flags in (["--config", workspace["cfg"]], ["--model.d_lat", "3", "--mel.n_mels", "20"]):
+        out = tmp_path / f"{len(wavs)}.wav"
+        assert main([command, "--checkpoint", workspace["ckpt"], "--out", str(out),
+                     "--instruction", "add a sine tone", "--gl-iters", "2",
+                     "--sampler.steps", "2", *extra, *flags]) == EXIT_OK
+        reports.append(json.loads(capsys.readouterr().out))
+        wavs.append(out.read_bytes())
+    want = to_dict(load_run_config(workspace["cfg"]))
+    for report in reports:
+        for key in ("model", "mel", "session_rate"):
+            assert report["config"][key] == want[key], key
+        assert report["config"]["sampler"]["steps"] == 2
+    assert wavs[0] == wavs[1]
 
 
 @pytest.fixture(scope="module")
@@ -969,6 +1015,29 @@ class TestArgumentErrors:
                    "--model.mlp_ratio=2", "--model.time_basis=4"])
         capsys.readouterr()
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "train.dropout_p", "1.5"),
+        ("train", "train.dropout_p", "-0.1"),
+        ("train", "train.beta1", "1.0"),
+        ("train", "train.beta2", "-0.5"),
+        ("train", "train.eps", "-1"),
+        ("train", "train.eps", "0"),
+        ("train", "train.weight_decay", "-0.001"),
+        ("train", "train.log_every", "-1"),
+        ("sample", "sampler.seed", "-1"),
+    ])
+    def test_out_of_range_config_exits_2(self, command, key, value, tmp_path, capsys):
+        """Refused as a config error naming the key, before any work."""
+        inputs = {"train": ["--data", "toy", "--steps", "1", *TOY_MODEL_OVERRIDES],
+                  "sample": ["--checkpoint", str(tmp_path / "missing.ckpt")]}
+        out = tmp_path / "out"
+        rc = main([command, "--out", str(out), *inputs[command], f"--{key}", value])
+        err = json.loads(capsys.readouterr().err.strip())
+        assert rc == EXIT_CONFIG
+        assert err["error"] == "config"
+        assert key.split(".")[1] in err["message"]
+        assert not out.exists()
 
     def test_positional_junk(self, capsys):
         rc = main(["train", "--data", "toy", "--steps", "1", "junk"])

@@ -255,7 +255,7 @@ class TestFolderLibrary:
         return tmp_path
 
     def test_scan_and_resolve(self, folder_root):
-        lib = FolderLibrary(folder_root)
+        lib = FolderLibrary(folder_root, RATE)
         assert lib.labels() == ["sine tone", "warble"]
         assert lib.clip_ids("sine tone") == ["sine tone/v0", "sine tone/v1"]
         assert lib.background_ids() == ["background/v0"]
@@ -266,7 +266,7 @@ class TestFolderLibrary:
         assert lib.clip_duration_s("warble/v0") == pytest.approx(0.5)
 
     def test_duration_from_header_alone(self, folder_root, monkeypatch):
-        lib = FolderLibrary(folder_root)
+        lib = FolderLibrary(folder_root, RATE)
         want = {c: lib.resolve(c).duration_s for c in ("warble/v0", "background/v0")}
 
         def no_decode(path, session_rate=None):
@@ -278,7 +278,7 @@ class TestFolderLibrary:
             lib.clip_duration_s("warble/v7")
 
     def test_unknown_clip(self, folder_root):
-        lib = FolderLibrary(folder_root)
+        lib = FolderLibrary(folder_root, RATE)
         with pytest.raises(KeyError):
             lib.resolve("sine tone/v7")
         with pytest.raises(KeyError):
@@ -286,9 +286,9 @@ class TestFolderLibrary:
 
     def test_empty_root_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            FolderLibrary(tmp_path)
+            FolderLibrary(tmp_path, RATE)
         with pytest.raises(ValueError):
-            FolderLibrary(tmp_path / "missing")
+            FolderLibrary(tmp_path / "missing", RATE)
 
 
 # ---------------------------------------------------------------------------

@@ -600,6 +600,13 @@ class TestLatentCodec:
         codec = LatentCodec(self.CFG).fit(make_corpus(rng, self.CFG))
         with pytest.raises(ValueError):
             codec.encode(make_corpus(rng, other, n=1)[0])
+        # same channel count, other framing: fit refuses it as encode does
+        other_hop = MelConfig(sample_rate=8000, n_fft=256, hop=32, n_mels=12)
+        for mels in (make_corpus(rng, other_hop, n=1), make_corpus(rng, other, n=1)):
+            with pytest.raises(ValueError, match="configuration"):
+                LatentCodec(self.CFG).fit(make_corpus(rng, self.CFG) + mels)
+            with pytest.raises(ValueError, match="configuration"):
+                codec.encode(mels[0])
 
 
 class TestSaveLoad:

@@ -7,12 +7,12 @@ from rfaudio.autodiff import Tensor, add, gelu, gradcheck, matmul, no_grad, tsum
 from rfaudio.conditioning import (
     null_bundle,
 )
+from rfaudio.flow import rf_loss
 from rfaudio.model import (
     FlowModel,
     ModelConfig,
     TimeEmbedding,
     collate_bundles,
-    dit_forward,
     time_features,
 )
 from rfaudio.optim import ParamStore
@@ -29,6 +29,12 @@ def make_bundle(model, rng, latent_T, instruction="", transcript=""):
 
 def latent(rng, T, d):
     return rng.standard_normal((T, d)).astype(np.float32)
+
+
+def forward_one(x, t, bundle, model):
+    """``model._forward`` on a batch of one: ``x`` is ``[T, d]``, the result ``[1, T, d]``."""
+    high, valid, low = collate_bundles([bundle], dtype=model.dtype)
+    return model._forward(Tensor(x[None]), np.array([t]), high, valid, low)
 
 
 class TestModelConfig:
@@ -106,32 +112,32 @@ class TestDitForward:
     def test_output_shape(self, rng, T):
         model = FlowModel(TINY, seed=0)
         bundle = make_bundle(model, rng, T, transcript="hey")
-        out = dit_forward(latent(rng, T, TINY.d_lat), 0.4, bundle, model)
-        assert out.data.shape == (T, TINY.d_lat)
+        out = forward_one(latent(rng, T, TINY.d_lat), 0.4, bundle, model)
+        assert out.data.shape == (1, T, TINY.d_lat)
 
     def test_default_config_forward(self, rng):
         model = FlowModel(ModelConfig(d_lat=10, d_mel=10), seed=0)
         bundle = model.conditioner.assemble(5)
-        out = dit_forward(latent(rng, 5, 10), 0.5, bundle, model)
-        assert out.data.shape == (5, 10)
+        out = forward_one(latent(rng, 5, 10), 0.5, bundle, model)
+        assert out.data.shape == (1, 5, 10)
 
     def test_untrained_model_predicts_zero(self, rng):
         model = FlowModel(TINY, seed=0)
         bundle = make_bundle(model, rng, 4)
-        out = dit_forward(latent(rng, 4, 3), 0.2, bundle, model)
+        out = forward_one(latent(rng, 4, 3), 0.2, bundle, model)
         assert np.all(out.data == 0.0)  # zero-initialized output head
 
     def test_frame_mismatch_rejected(self, rng):
         model = FlowModel(TINY, seed=0)
         bundle = make_bundle(model, rng, 5)
-        with pytest.raises(ValueError):
-            dit_forward(latent(rng, 6, 3), 0.4, bundle, model)
+        with pytest.raises(ValueError, match="frames"):
+            rf_loss([(latent(rng, 6, 3), bundle)], model, rng)
 
     def test_latent_width_rejected(self, rng):
         model = FlowModel(TINY, seed=0)
         bundle = make_bundle(model, rng, 5)
-        with pytest.raises(ValueError):
-            dit_forward(latent(rng, 5, 4), 0.4, bundle, model)
+        with pytest.raises(ValueError, match="latent width"):
+            forward_one(latent(rng, 5, 4), 0.4, bundle, model)
 
     def test_deterministic_construction_and_forward(self, rng):
         x = latent(rng, 6, 3)
@@ -139,7 +145,7 @@ class TestDitForward:
         for _ in range(2):
             model = FlowModel(TINY, seed=7, toy_vocab=["dog"])
             bundle = model.conditioner.assemble(6, instruction="dog")
-            outs.append(dit_forward(x, 0.3, bundle, model).data)
+            outs.append(forward_one(x, 0.3, bundle, model).data)
         assert np.array_equal(outs[0], outs[1])
 
     def test_forward_count_increments(self, rng):
@@ -147,8 +153,8 @@ class TestDitForward:
         bundle = make_bundle(model, rng, 4)
         base = model.forward_count
         with no_grad():
-            dit_forward(latent(rng, 4, 3), 0.5, bundle, model)
-            dit_forward(latent(rng, 4, 3), 0.4, bundle, model)
+            forward_one(latent(rng, 4, 3), 0.5, bundle, model)
+            forward_one(latent(rng, 4, 3), 0.4, bundle, model)
         assert model.forward_count == base + 2
 
     def test_context_changes_output(self, rng):
@@ -159,10 +165,10 @@ class TestDitForward:
         ).astype(np.float32)
         x = latent(rng, 4, 3)
         with no_grad():
-            with_ctx = dit_forward(
+            with_ctx = forward_one(
                 x, 0.5, model.conditioner.assemble(4, instruction="dog"), model
             )
-            without = dit_forward(x, 0.5, model.conditioner.assemble(4), model)
+            without = forward_one(x, 0.5, model.conditioner.assemble(4), model)
         assert not np.allclose(with_ctx.data, without.data)
 
 
@@ -174,7 +180,7 @@ class TestNullContextEquivalence:
         assert bundle.high.length == 0
         x = latent(rng, 5, 3)
         with no_grad():
-            out = dit_forward(x, 0.6, bundle, model)
+            out = forward_one(x, 0.6, bundle, model)
         assert np.all(np.isfinite(out.data))
 
     def test_masked_batch_equals_bypassed_path(self, rng):
@@ -208,8 +214,8 @@ class TestNullContextEquivalence:
         ts = np.array([0.5, 0.5])
         with no_grad():
             batched = model._forward(Tensor(x), ts, high, valid, low)
-            solo = dit_forward(x[1], 0.5, null, model)
-        assert np.allclose(batched.data[1], solo.data, atol=1e-6)
+            solo = forward_one(x[1], 0.5, null, model)
+        assert np.allclose(batched.data[1], solo.data[0], atol=1e-6)
 
 
 class TestCollate:
@@ -259,8 +265,8 @@ class TestFullGradcheck:
 
         def f(*_):
             b = model.conditioner.assemble(T, instruction="dog", transcript="ab")
-            out = dit_forward(x_t, 0.37, b, model)
-            diff = out - Tensor(target)
+            out = forward_one(x_t, 0.37, b, model)
+            diff = out - Tensor(target[None])
             from rfaudio.autodiff import tmean
 
             return tmean(diff * diff)
