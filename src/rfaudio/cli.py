@@ -108,14 +108,17 @@ def _cmd_train(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint(path_str: str):
+def _load_checkpoint(path_str: str) -> tuple[FlowModel, LatentCodec]:
     path = Path(path_str)
     if not path.is_file():
         raise DataError(f"checkpoint not found: {path}")
     try:
-        return load_model(path)
+        model, codec, _meta = load_model(path)
     except ValueError as exc:
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
+    if codec is None:
+        raise DataError(f"checkpoint {path} has no codec; train on an audio corpus to make audio")
+    return model, codec
 
 
 def _checkpoint_config(config: RunConfig, model: FlowModel, codec: LatentCodec) -> RunConfig:
@@ -138,11 +141,7 @@ def _render(args, config: RunConfig, model: FlowModel, codec: LatentCodec, frame
 
 
 def _cmd_sample(args, config: RunConfig) -> int:
-    model, codec, _meta = _load_checkpoint(args.checkpoint)
-    if codec is None:
-        raise DataError(
-            "checkpoint has no codec; train on an audio corpus to sample waveforms"
-        )
+    model, codec = _load_checkpoint(args.checkpoint)
     if args.frames is not None:
         frames = args.frames
     else:
@@ -168,9 +167,7 @@ def _cmd_sample(args, config: RunConfig) -> int:
 
 
 def _cmd_edit(args, config: RunConfig) -> int:
-    model, codec, _meta = _load_checkpoint(args.checkpoint)
-    if codec is None:
-        raise DataError("checkpoint has no codec; editing operates on audio corpora")
+    model, codec = _load_checkpoint(args.checkpoint)
     try:
         source = read_wav(args.source, session_rate=codec.config.sample_rate)
         source_mel = mel_spectrogram(source, codec.config)

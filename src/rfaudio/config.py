@@ -65,6 +65,11 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.forge.duration_s * self.session_rate < 2**63:  # an int64 array length
+            raise ConfigError(
+                f"forge.duration_s {self.forge.duration_s} at session_rate "
+                f"{self.session_rate} makes a scene of 2**63 samples or more"
+            )
 
 
 def to_dict(config) -> dict:

@@ -126,9 +126,7 @@ class EditTriplet:
     """One editing example: an instruction plus source/target audio.
 
     ``event_stem`` carries the placed foreground stem for downstream
-    filtering; it is not part of the written manifest. ``source_path`` and
-    ``target_path`` stay ``None`` until :func:`write_triplet_audio` assigns
-    the on-disk locations (relative to the dataset root).
+    filtering; it is not part of the written manifest.
     """
 
     id: str
@@ -139,8 +137,6 @@ class EditTriplet:
     source_audio: AudioBuffer | None = None
     target_audio: AudioBuffer | None = None
     event_stem: AudioBuffer | None = None
-    source_path: str | None = None
-    target_path: str | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -560,31 +556,22 @@ def filter_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def write_triplet_audio(triplet: EditTriplet, root, wav_format: str = "float32") -> EditTriplet:
-    """Write source/target WAVs under ``root/audio`` and record relative paths."""
+def write_triplet_audio(triplet: EditTriplet, root, wav_format: str = "float32") -> dict:
+    """Write source/target WAVs under ``root/audio``; return the manifest item."""
     if triplet.source_audio is None or triplet.target_audio is None:
         raise ValueError(f"triplet {triplet.id!r} has no audio to write")
     root = Path(root)
-    audio_dir = root / "audio"
-    audio_dir.mkdir(parents=True, exist_ok=True)
+    (root / "audio").mkdir(parents=True, exist_ok=True)
     source_rel = f"audio/{triplet.id}_src.wav"
     target_rel = f"audio/{triplet.id}_tgt.wav"
     write_wav(triplet.source_audio, root / source_rel, format=wav_format)
     write_wav(triplet.target_audio, root / target_rel, format=wav_format)
-    triplet.source_path = source_rel
-    triplet.target_path = target_rel
-    return triplet
-
-
-def manifest_item(triplet: EditTriplet) -> dict:
-    if triplet.source_path is None or triplet.target_path is None:
-        raise ValueError(f"triplet {triplet.id!r} has not been written; paths are unset")
     return {
         "id": triplet.id,
         "task": triplet.task,
         "instruction": triplet.instruction,
-        "source_path": triplet.source_path,
-        "target_path": triplet.target_path,
+        "source_path": source_rel,
+        "target_path": target_rel,
         "event": {
             "label": triplet.event.label,
             "onset_s": float(triplet.event.onset_s),
@@ -597,20 +584,20 @@ def manifest_item(triplet: EditTriplet) -> dict:
     }
 
 
-def write_manifest(triplets: Sequence[EditTriplet], root, config: dict | None = None) -> Path:
-    """Serialize the manifest (items ordered by id) to ``root/manifest.json``.
+def write_manifest(items: Sequence[dict], root, config: dict | None = None) -> Path:
+    """Serialize manifest items (ordered by id) to ``root/manifest.json``.
 
-    ``config`` optionally embeds the fully resolved run configuration so the
-    dataset records how it was produced. The file is written under a
-    temporary name in ``root`` and renamed into place, so a reader sees
-    either no manifest or a complete one.
+    ``items`` are what :func:`write_triplet_audio` returns. ``config``
+    optionally embeds the fully resolved run configuration so the dataset
+    records how it was produced. The file is written under a temporary name
+    in ``root`` and renamed into place, so a reader sees either no manifest
+    or a complete one.
     """
-    ids = [t.id for t in triplets]
+    ids = [item["id"] for item in items]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise ValueError(f"duplicate triplet ids: {dupes}")
-    items = sorted((manifest_item(t) for t in triplets), key=lambda item: item["id"])
-    payload = {"version": MANIFEST_VERSION, "items": items}
+    payload = {"version": MANIFEST_VERSION, "items": sorted(items, key=lambda item: item["id"])}
     if config is not None:
         payload["config"] = config
     path = Path(root) / MANIFEST_NAME
@@ -749,11 +736,10 @@ def forge_corpus(
     One scene is drawn per (task, item index) from an RNG seeded by
     ``(config.seed, task index, item index)``, so runs with equal configs
     and libraries are bit-identical and runs with different seeds diverge.
-    Items are mutually independent, so the per-item loop is trivially
-    parallelizable; generation runs single-process to keep outputs
-    reproducible everywhere. Forging streams: each triplet is built,
-    screened by :func:`filter_pipeline`, written at once if kept, and then
-    stripped to its manifest fields, so one triplet's audio is in memory at
+    Items are mutually independent: :func:`_forge_item` makes one and
+    returns its manifest item, or None when the screen rejects it. Only
+    those items outlive an iteration; each triplet and its audio are freed
+    when :func:`_forge_item` returns, so one triplet's audio is in memory at
     a time whatever the corpus size.
     The manifest is written last and is the corpus's commit marker: an
     existing ``root/manifest.json`` is deleted before the first WAV is
@@ -767,23 +753,15 @@ def forge_corpus(
     root.mkdir(parents=True, exist_ok=True)
     (root / MANIFEST_NAME).unlink(missing_ok=True)
 
-    kept_all: list[EditTriplet] = []
+    items: list[dict] = []
     counts: dict = {}
     for task_index, task in enumerate(config.tasks):
-        kept_before = len(kept_all)
+        kept_before = len(items)
         for i in range(config.items_per_task):
-            rng = np.random.default_rng([config.seed, task_index, i])
-            scene = draw_scene(rng, library, config)
-            event_index = int(rng.integers(config.events_per_scene))
-            triplet = make_triplet(
-                task, scene, library, event_index,
-                triplet_id=f"{task}-{config.seed}-{i:06d}",
-            )
-            if filter_pipeline([triplet], config.vad_threshold).kept:
-                write_triplet_audio(triplet, root, wav_format=config.wav_format)
-                kept_all.append(triplet)
-            triplet.source_audio = triplet.target_audio = triplet.event_stem = None
-        kept = len(kept_all) - kept_before
+            item = _forge_item(library, root, config, task_index, i)
+            if item is not None:
+                items.append(item)
+        kept = len(items) - kept_before
         counts[task] = {
             "generated": config.items_per_task,
             "kept": kept,
@@ -791,9 +769,23 @@ def forge_corpus(
         }
         log.info("filter: %s kept %d/%d", task, kept, config.items_per_task)
 
-    manifest_path = write_manifest(kept_all, root, config=echo)
-    log.info("forged %d triplets into %s", len(kept_all), root)
+    manifest_path = write_manifest(items, root, config=echo)
+    log.info("forged %d triplets into %s", len(items), root)
     return ForgeSummary(manifest_path, counts)
+
+
+def _forge_item(library, root, config: ForgeConfig, task_index: int, index: int) -> dict | None:
+    """Build, screen and, if kept, write one triplet; its manifest item or None."""
+    task = config.tasks[task_index]
+    rng = np.random.default_rng([config.seed, task_index, index])
+    scene = draw_scene(rng, library, config)
+    event_index = int(rng.integers(config.events_per_scene))
+    triplet = make_triplet(
+        task, scene, library, event_index, triplet_id=f"{task}-{config.seed}-{index:06d}"
+    )
+    if not filter_pipeline([triplet], config.vad_threshold).kept:
+        return None
+    return write_triplet_audio(triplet, root, wav_format=config.wav_format)
 
 
 # ---------------------------------------------------------------------------

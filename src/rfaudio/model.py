@@ -61,7 +61,9 @@ class ModelConfig:
             "d_lat", "d_mel", "d_sync", "d_mm", "d_trans", "d_high",
             "width", "depth", "heads", "mlp_ratio", "time_basis",
         ):
-            if getattr(self, name) < 1:
+            if type(value := getattr(self, name)) is not int:  # bool included
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.width % self.heads:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")

@@ -42,6 +42,9 @@ class MelConfig:
     log_floor: float = 1e-5  # added to mel *power* before the natural log
 
     def __post_init__(self) -> None:
+        for name in ("sample_rate", "n_fft", "hop", "n_mels"):
+            if type(value := getattr(self, name)) is not int:  # bool included
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.f_max is None:
             object.__setattr__(self, "f_max", self.sample_rate / 2.0)
         if self.sample_rate <= 0:

@@ -363,6 +363,26 @@ class TestForgeCommand:
         assert manifests[0] == manifests[1]
         assert json.loads(manifests[0])["config"]["forge"]["seed"] == 7
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("duration", [1e308, 1e300])
+    def test_duration_beyond_the_sample_count_exits_2(self, source, duration, tmp_path,
+                                                      capsys):
+        """A scene of 2**63 samples or more is refused naming the key, before any work."""
+        root = tmp_path / "corpus"
+        if source == "flag":
+            flags = ["--forge.duration_s", repr(duration)]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"forge": {"duration_s": duration}}))
+            flags = ["--config", str(cfg)]
+        rc = main(["forge", "--root", str(root), "--forge.items_per_task", "1", *flags])
+        err = capsys.readouterr().err.strip()
+        assert rc == EXIT_CONFIG
+        assert "\n" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "config" and "forge.duration_s" in payload["message"]
+        assert not root.exists()
+
     def test_unknown_wav_format_rejected_before_work(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         rc = main(["forge", "--root", str(root), "--forge.wav_format", "pcm24"])
@@ -572,9 +592,13 @@ class TestSampleCommand:
                                         "mean": [float("nan")] + meta["stats"]["mean"][1:]}},
         lambda meta: {**meta, "stats": {**meta["stats"], "std": [0.0] * len(meta["stats"]["std"])}},
         lambda meta: {**meta, "seed": -5},
+        *(lambda meta, hop=hop: {**meta, "stats": {**meta["stats"],
+                                                   "mel": {**meta["stats"]["mel"], "hop": hop}}}
+          for hop in (1.5, True, float("nan"))),
     ], ids=["list_root", "no_config", "unknown_key", "string_width", "vocab_int",
             "vocab_of_ints", "stats_list", "stats_bad_mel", "stats_bad_mean",
-            "huge_width", "huge_depth", "stats_nan_mean", "stats_zero_std", "negative_seed"])
+            "huge_width", "huge_depth", "stats_nan_mean", "stats_zero_std", "negative_seed",
+            "stats_float_hop", "stats_bool_hop", "stats_nan_hop"])
     def test_malformed_sidecar(self, workspace, tmp_path, capsys, corrupt):
         ckpt = tmp_path / "m.ckpt"
         ckpt.write_bytes(Path(workspace["ckpt"]).read_bytes())
@@ -695,6 +719,27 @@ def test_echo_is_the_checkpoint_config(workspace, tmp_path, capsys, command):
             assert report["config"][key] == want[key], key
         assert report["config"]["sampler"]["steps"] == 2
     assert wavs[0] == wavs[1]
+
+
+@pytest.mark.parametrize("command", ["sample", "edit"])
+def test_checkpoint_without_codec_exits_3(workspace, tmp_path, capsys, command):
+    """A ``train --data toy`` checkpoint has no codec, so it cannot make audio."""
+    ckpt = tmp_path / "toy.ckpt"
+    assert main(["train", "--data", "toy", "--out", str(ckpt), "--steps", "1",
+                 *TOY_MODEL_OVERRIDES]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out.wav"
+    argv = [command, "--checkpoint", str(ckpt), "--out", str(out), "--instruction", "x"]
+    if command == "edit":
+        item = json.loads((workspace["data"] / "manifest.json").read_text())["items"][0]
+        argv += ["--source", str(workspace["data"] / item["source_path"])]
+    rc = main(argv)
+    err = capsys.readouterr().err.strip()
+    assert rc == EXIT_DATA
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "data" and "no codec" in payload["message"]
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -31,7 +31,6 @@ from rfaudio.dataforge import (
     instruction_for,
     load_manifest,
     make_triplet,
-    manifest_item,
     trimmed_stem,
     write_manifest,
     write_triplet_audio,
@@ -528,54 +527,56 @@ class TestFiltering:
 class TestManifest:
     @pytest.fixture()
     def written(self, tmp_path):
-        triplets = []
+        triplets, items = [], []
         for i, task in enumerate(("add", "remove")):
             sc = scene([event(seed=i)], seed=100 + i)
             t = make_triplet(task, sc, LIB, triplet_id=f"{task}-{i:03d}")
-            triplets.append(write_triplet_audio(t, tmp_path))
-        path = write_manifest(triplets, tmp_path)
-        return tmp_path, triplets, path
+            triplets.append(t)
+            items.append(write_triplet_audio(t, tmp_path))
+        path = write_manifest(items, tmp_path)
+        return tmp_path, triplets, items, path
 
     def test_audio_files_and_paths(self, written):
-        root, triplets, _ = written
-        for t in triplets:
-            assert t.source_path == f"audio/{t.id}_src.wav"
-            src = read_wav(root / t.source_path)
-            tgt = read_wav(root / t.target_path)
+        root, triplets, items, _ = written
+        for t, item in zip(triplets, items):
+            assert item["source_path"] == f"audio/{t.id}_src.wav"
+            assert item["target_path"] == f"audio/{t.id}_tgt.wav"
+            src = read_wav(root / item["source_path"])
+            tgt = read_wav(root / item["target_path"])
             want_src = t.source_audio.samples.astype(np.float32).astype(np.float64)
             want_tgt = t.target_audio.samples.astype(np.float32).astype(np.float64)
             assert np.array_equal(src.samples, want_src)
             assert np.array_equal(tgt.samples, want_tgt)
 
     def test_round_trip_fields(self, written):
-        root, triplets, path = written
+        _, triplets, items, path = written
         payload = load_manifest(path)
         assert payload["version"] == 1
         ids = [item["id"] for item in payload["items"]]
         assert ids == sorted(ids)
         by_id = {item["id"]: item for item in payload["items"]}
-        for t in triplets:
+        for t, written_item in zip(triplets, items):
             item = by_id[t.id]
-            assert item == manifest_item(t)
+            assert item == written_item
+            assert item["task"] == t.task
+            assert item["instruction"] == t.instruction
+            assert item["event"]["label"] == t.event.label
             assert item["event"]["onset_s"] == t.event.onset_s
+            assert item["event"]["snr_db"] == t.event.snr_db
+            assert item["event"]["pitch_semitones"] == t.event.pitch_semitones
             assert item["event"]["stretch"] == t.event.stretch
             assert item["seed"] == t.seed
             assert item["provenance"] == "synthesis"
 
     def test_duplicate_ids_rejected(self, written):
-        root, triplets, _ = written
+        root, _, items, _ = written
         with pytest.raises(ValueError, match="duplicate"):
-            write_manifest([triplets[0], triplets[0]], root)
-
-    def test_unwritten_triplet_rejected(self, tmp_path):
-        t = make_triplet("add", scene([event()]), LIB)
-        with pytest.raises(ValueError, match="unset"):
-            write_manifest([t], tmp_path)
+            write_manifest([items[0], items[0]], root)
 
     @pytest.mark.parametrize("bad", ["../outside/x.wav", "/abs/x.wav", "audio/../../x.wav"])
     @pytest.mark.parametrize("key", ["source_path", "target_path"])
     def test_paths_outside_the_corpus_rejected(self, written, key, bad):
-        root, _, path = written
+        _, _, _, path = written
         payload = json.loads(path.read_text())
         payload["items"][1][key] = bad
         path.write_text(json.dumps(payload))
@@ -740,6 +741,23 @@ class TestForgeCorpus:
             finally:
                 tracemalloc.stop()
         assert peaks[6] <= 1.25 * peaks[2], {k: f"{v / 2**20:.1f} MB" for k, v in peaks.items()}
+
+    def test_one_triplet_audio_alive_at_a_time(self, tmp_path, monkeypatch):
+        """When a triplet is built, every buffer of the one before it is already freed."""
+        held = []  # weak references to the buffers of the triplets built so far
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in held), "a previous triplet's audio is alive"
+            t = make_triplet(*args, **kwargs)
+            held.extend(weakref.ref(buf)
+                        for buf in (t.source_audio, t.target_audio, t.event_stem))
+            return t
+
+        monkeypatch.setattr(dataforge, "make_triplet", tracked)
+        summary = forge_corpus(LIB, tmp_path, TINY)
+        assert len(held) == 3 * sum(summary.counts[t]["generated"] for t in TASKS)
+        assert sum(summary.counts[t]["kept"] for t in TASKS) > 0
+        assert all(ref() is None for ref in held)
 
     def test_draw_scene_uses_library_backgrounds(self):
         rng = np.random.default_rng(0)

@@ -57,6 +57,11 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(depth=0)
 
+    @pytest.mark.parametrize("value", [64.0, True, float("nan"), "64"])
+    def test_integer_fields_refuse_other_types(self, value):
+        with pytest.raises(TypeError, match="width must be an integer"):
+            ModelConfig(width=value)
+
 
 class TestTimeFeatures:
     def test_t_zero(self):

@@ -84,6 +84,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             MelConfig(f_min=5000, f_max=100)
 
+    @pytest.mark.parametrize("value", [1.5, 256.0, True, float("nan")])
+    def test_integer_fields_refuse_other_types(self, value):
+        with pytest.raises(TypeError, match="hop must be an integer"):
+            MelConfig(hop=value)
+
 
 class TestStft:
     def test_dc_bin0_equals_window_sum(self):
