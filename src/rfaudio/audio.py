@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import os
 import struct
@@ -77,15 +78,23 @@ class AudioBuffer:
 # DSP lanes
 #
 # The resampler and the phase vocoder split their rows (or frequency bins)
-# into one contiguous range per CPU this process may run on. Every lane runs
-# the same float operations, in the same order, on the part it owns, so the
-# output is the same bit for bit at any lane count. The caller allocates
-# every output and every lane's scratch before dispatch and lanes write with
-# ``out=``, so lane threads allocate nothing large. Lanes run only numpy
-# FFTs, ufuncs and ``einsum`` (never ``matmul``, ``dot`` or ``linalg``, so
-# the BLAS thread count is untouched) and call no module global that the
-# benchmark's tracer rebinds, so every traced span opens on the calling
-# thread.
+# into one contiguous range per CPU this process may run on; ``rfaudio
+# eval`` hands each lane whole clips to analyse (``cli._metric_report``).
+# Every lane runs the same float operations, in the same order, on the part
+# it owns, so the output is the same bit for bit at any lane count. The
+# caller allocates every output and every lane's scratch before dispatch
+# and lanes write with ``out=``, so lane threads allocate nothing large:
+# memory a lane thread frees would stay in that thread's malloc arena,
+# where the calling thread's later work cannot reuse it. Lanes call no
+# module global that the benchmark's tracer rebinds, so every traced span
+# opens on the calling thread.
+#
+# Lane work makes no BLAS call: numpy FFTs, ufuncs, ufunc reductions and
+# ``einsum`` only, never ``matmul``, ``@``, ``dot`` or ``linalg``. OpenBLAS's
+# threads spin for a while after each call, and lanes running beside them
+# lose more than they gain. Lane work never calls :func:`_run_lanes`: the
+# pool holds one thread per lane beyond the caller's, so a nested call
+# would wait on a thread that is waiting on it.
 # ---------------------------------------------------------------------------
 
 #: lanes per kernel call: the CPUs in this process's affinity mask
@@ -116,8 +125,10 @@ def _run_lanes(work, cuts: list[int]) -> None:
     """Run ``work(k, cuts[k], cuts[k + 1])`` for every lane ``k``.
 
     Lane 0 runs on the calling thread, the others on the module's thread
-    pool. Returns when every lane has finished; the first lane error, if
-    any, is raised then.
+    pool, each in a copy of the caller's context, so numpy's error state
+    (``np.errstate``) is the caller's on every lane. Returns when every lane
+    has finished; the error of the lowest failing lane, if any, is raised
+    then. ``work`` calls no BLAS and not this function (see above).
     """
     global _pool
     futures = []
@@ -126,7 +137,8 @@ def _run_lanes(work, cuts: list[int]) -> None:
             if _pool is None:
                 _pool = ThreadPoolExecutor(max(_LANES - 1, 1), thread_name_prefix="rfaudio-lane")
             pool = _pool
-        futures = [pool.submit(work, k, cuts[k], cuts[k + 1]) for k in range(1, len(cuts) - 1)]
+        futures = [pool.submit(contextvars.copy_context().run, work, k, cuts[k], cuts[k + 1])
+                   for k in range(1, len(cuts) - 1)]
     try:
         work(0, cuts[0], cuts[1])
     finally:

@@ -14,11 +14,13 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .audio import read_wav, write_wav
+from . import audio
+from .audio import _lane_cuts, _run_lanes, read_wav, write_wav
 from .conditioning import FrameFeatures
 from .config import ConfigError, DataError, RunConfig, load_run_config, to_dict
 from .data import ToyModesDataset, build_toy_model, corpus_items, manifest_training
@@ -26,7 +28,17 @@ from .dataforge import FolderLibrary, ForgeConfig, SyntheticLibrary, forge_corpu
 from .evalkit import embed_stats, energy_distance, frechet_distance, mel_summary_embedding
 from .flow import LatentCodec, TrainingDiverged, load_model, sample, save_model, train
 from .model import FlowModel
-from .spectral import griffin_lim, lsd, mel_spectrogram
+from .spectral import (
+    MEL_BLOCK_FRAMES,
+    MelConfig,
+    MelSpectrogram,
+    _check_buffer,
+    _mel_frames,
+    _mel_scratch,
+    griffin_lim,
+    lsd,
+    mel_spectrogram,
+)
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -200,30 +212,60 @@ def _metric_report(path_pairs, config: RunConfig) -> tuple[dict, dict]:
     """(metrics, counts) over ``(path_a, path_b)`` pairs, streamed.
 
     Either path of a pair may be None: that clip has no partner on the other
-    side and adds only its embedding. Each clip is read and analysed when its
-    pair comes up and dropped after it, keeping one summary embedding per
-    clip and one ``lsd`` per complete pair, so memory does not grow with the
-    clip count beyond those rows.
+    side and adds only its embedding. The clips go in pair order, a then b,
+    ``audio._LANES`` at a time: this thread reads a group and allocates its
+    mel frames, the DSP lanes of :mod:`rfaudio.audio` analyse clip ``k`` of
+    the group on lane ``k`` into them, and this thread embeds and scores the
+    clips in order, so the report does not depend on the lane count. Beyond
+    one summary embedding per clip and one ``lsd`` per complete pair, memory
+    holds one clip per lane and one pending mel, whatever the clip count.
+    The first error in clip order ends the report, as a serial pass would
+    meet it: a clip that fails to read waits until the clips before it have
+    been scored.
     """
-    emb_a, emb_b, lsd_values = [], [], []
-    for path_a, path_b in path_pairs:
-        try:
-            mel_a = None if path_a is None else mel_spectrogram(read_wav(path_a), config.mel)
-            mel_b = None if path_b is None else mel_spectrogram(read_wav(path_b), config.mel)
-        except (ValueError, OSError) as exc:
-            raise DataError(f"failed to analyze eval audio: {exc}") from exc
-        if mel_a is not None:
-            emb_a.append(mel_summary_embedding(mel_a))
-        if mel_b is not None:
-            emb_b.append(mel_summary_embedding(mel_b))
-        if mel_a is not None and mel_b is not None:
-            if mel_a.frames.shape != mel_b.frames.shape:
-                raise DataError(
-                    f"paired clips must share mel shape, got {mel_a.frames.shape} vs "
-                    f"{mel_b.frames.shape}"
-                )
-            lsd_values.append(lsd(mel_a, mel_b))
-    emb_a, emb_b = np.stack(emb_a), np.stack(emb_b)
+    mel = config.mel
+    embeddings = {"a": [], "b": []}
+    lsd_values = []
+    clips = ((i, side, path) for i, pair in enumerate(path_pairs)
+             for side, path in zip("ab", pair) if path is not None)
+    # lane k's scratch, allocated here like every lane output
+    scratch = [_mel_scratch(mel, MEL_BLOCK_FRAMES) for _ in range(audio._LANES)]
+    source = None  # (pair index, mel) of the last clip a
+    failure = None
+    while failure is None and (group := list(islice(clips, audio._LANES))):
+        buffers = []
+        for _, _, path in group:
+            try:
+                buffer = read_wav(path)
+                _check_buffer(buffer, mel)
+            except (ValueError, OSError) as exc:
+                failure = exc
+                break
+            buffers.append(buffer)
+        frames = [np.empty((mel.frame_count(len(b)), mel.n_mels), dtype=np.float32)
+                  for b in buffers]
+
+        def lane(k, lo, hi):
+            for j in range(lo, hi):
+                _mel_frames(buffers[j].samples, mel, frames[j], scratch[k])
+
+        _run_lanes(lane, _lane_cuts(len(buffers)))
+        del buffers
+        for (i, side, _), clip_frames in zip(group, frames):
+            clip = MelSpectrogram(mel, clip_frames)
+            embeddings[side].append(mel_summary_embedding(clip))
+            if side == "a":
+                source = (i, clip)
+            elif source is not None and source[0] == i:
+                if source[1].frames.shape != clip.frames.shape:
+                    raise DataError(
+                        f"paired clips must share mel shape, got {source[1].frames.shape} vs "
+                        f"{clip.frames.shape}"
+                    )
+                lsd_values.append(lsd(source[1], clip))
+    if failure is not None:
+        raise DataError(f"failed to analyze eval audio: {failure}") from failure
+    emb_a, emb_b = np.stack(embeddings["a"]), np.stack(embeddings["b"])
     metrics = {
         "lsd": float(np.mean(lsd_values)) if lsd_values else None,
         "fad-proxy": frechet_distance(embed_stats(emb_a, embedder=np.asarray),

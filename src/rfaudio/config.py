@@ -65,10 +65,12 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.forge.duration_s * self.session_rate < 2**63:  # an int64 array length
+        # a scene's float64 samples take 8 bytes each; numpy refuses 2**63 bytes
+        if not self.forge.duration_s * self.session_rate < 2**60:
             raise ConfigError(
                 f"forge.duration_s {self.forge.duration_s} at session_rate "
-                f"{self.session_rate} makes a scene of 2**63 samples or more"
+                f"{self.session_rate} makes a scene of 2**60 samples or more, "
+                f"too many for one float64 array"
             )
 
 

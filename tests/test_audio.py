@@ -423,6 +423,20 @@ class TestVocoderLanes:
         assert resample_to_length(x, out_len).tobytes() == unblocked_resample(x, out_len).tobytes()
 
 
+def test_lanes_run_under_the_callers_error_state(monkeypatch):
+    """Every lane sees the ``np.errstate`` its caller set, not numpy's defaults."""
+    monkeypatch.setattr(audio, "_LANES", 3)
+    seen = [None] * 3
+
+    def work(k, lo, hi):
+        seen[k] = np.geterr()
+
+    with np.errstate(over="ignore", divide="raise", invalid="ignore"):
+        audio._run_lanes(work, [0, 1, 2, 3])
+        want = np.geterr()
+    assert seen == [want] * 3
+
+
 def _resample_in_child(x, out_len, conn):
     conn.send(resample_to_length(x, out_len).tobytes())
     conn.close()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import rfaudio
+from rfaudio import audio
 from rfaudio.audio import AudioBuffer, read_wav, write_wav
 from rfaudio.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from rfaudio.config import ConfigError, RunConfig, from_dict, load_run_config, to_dict
@@ -364,10 +365,11 @@ class TestForgeCommand:
         assert json.loads(manifests[0])["config"]["forge"]["seed"] == 7
 
     @pytest.mark.parametrize("source", ["flag", "file"])
-    @pytest.mark.parametrize("duration", [1e308, 1e300])
+    @pytest.mark.parametrize("duration", [1e308, 1e300, 2e14])
     def test_duration_beyond_the_sample_count_exits_2(self, source, duration, tmp_path,
                                                       capsys):
-        """A scene of 2**63 samples or more is refused naming the key, before any work."""
+        """A scene too long for one float64 array (2**60 samples or more) is refused
+        naming the key, before any work."""
         root = tmp_path / "corpus"
         if source == "flag":
             flags = ["--forge.duration_s", repr(duration)]
@@ -814,6 +816,58 @@ class TestEvalCommand:
         assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
         for name, value in metrics.items():
             assert want["metrics"][name] == pytest.approx(value, rel=1e-9), name
+
+    @pytest.mark.parametrize("mode", ["manifest", "folders"])
+    def test_report_independent_of_lane_count(self, workspace, eval_folders, monkeypatch,
+                                              capsys, mode):
+        """Running the pairs one per lane changes no byte of the report, with more
+        lanes than this host may have cores and lane threads switching often."""
+        argv = {"manifest": ["--manifest", str(workspace["data"])],
+                "folders": ["--dir-a", str(eval_folders[0]), "--dir-b", str(eval_folders[1])]}
+        outs = []
+        interval = sys.getswitchinterval()
+        for lanes in (1, 3):
+            monkeypatch.setattr(audio, "_LANES", lanes)
+            sys.setswitchinterval(1e-6)
+            try:
+                assert main(["eval", "--config", workspace["cfg"], *argv[mode]]) == EXIT_OK
+            finally:
+                sys.setswitchinterval(interval)
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("fault", ["truncated", "short"])
+    def test_first_failing_pair_is_reported_at_any_lane_count(self, workspace, tmp_path,
+                                                              monkeypatch, capsys, fault):
+        """The second pair fails (a truncated target, or a target shorter than its
+        source) and so does the third (truncated). At 3 lanes the failures meet in
+        one group; the second pair's error is the one reported, as at 1 lane."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["data"], corpus)
+        items = json.loads((corpus / "manifest.json").read_text())["items"]
+        second, third = (corpus / item["target_path"] for item in items[1:3])
+        for keep, path in ((2, second), (3, third)):  # two cuts, two distinct messages
+            blob = path.read_bytes()
+            path.write_bytes(blob[: len(blob) // keep])
+        if fault == "short":
+            clip = read_wav(corpus / items[1]["source_path"])
+            write_wav(AudioBuffer(clip.samples[: len(clip) // 2], clip.sample_rate), second)
+            want = "paired clips must share mel shape"
+        else:
+            with pytest.raises(ValueError) as error:
+                read_wav(second)
+            want = f"failed to analyze eval audio: {error.value}"
+        errors = []
+        for lanes in (1, 3):
+            monkeypatch.setattr(audio, "_LANES", lanes)
+            rc = main(["eval", "--config", workspace["cfg"], "--manifest", str(corpus)])
+            err = capsys.readouterr().err
+            assert rc == EXIT_DATA
+            assert err.count("\n") == 1
+            errors.append(err)
+        assert errors[0] == errors[1]
+        payload = json.loads(errors[0])
+        assert payload["error"] == "data" and payload["message"].startswith(want)
 
     def test_memory_does_not_grow_with_corpus(self, tmp_path, capsys):
         """Three times the pairs, about the same peak: eval holds one pair at a time."""

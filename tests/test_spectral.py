@@ -9,6 +9,7 @@ from rfaudio.spectral import (
     MEL_BLOCK_FRAMES,
     MelConfig,
     MelSpectrogram,
+    _mel_bands,
     griffin_lim,
     hz_to_mel,
     istft,
@@ -22,6 +23,8 @@ from rfaudio.spectral import (
 CFG_SMALL = MelConfig(sample_rate=8000, n_fft=256, hop=64, n_mels=40)
 #: a hop that does not divide n_fft, so overlap-add ends on a narrower chunk
 CFG_ODD_HOP = MelConfig(sample_rate=8000, n_fft=256, hop=96, n_mels=40)
+#: the most mel filters :func:`mel_filterbank` accepts at the default FFT size
+MAX_MELS_DEFAULT_FFT = 115
 
 
 def hann(n):
@@ -181,6 +184,52 @@ class TestFilterbank:
     def test_empty_filter_rejected(self):
         with pytest.raises(ValueError, match="mel"):
             mel_filterbank(MelConfig(sample_rate=8000, n_fft=64, hop=32, n_mels=64))
+
+
+class TestMelBands:
+    """The band sum that stands in for the dense filterbank product."""
+
+    CONFIGS = [MelConfig(), CFG_SMALL, MelConfig(n_mels=MAX_MELS_DEFAULT_FFT)]
+    IDS = ["default", "small", "max_mels"]
+
+    def test_max_mels_is_the_largest_accepted(self):
+        with pytest.raises(ValueError, match="mel"):
+            mel_filterbank(MelConfig(n_mels=MAX_MELS_DEFAULT_FFT + 1))
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+    def test_each_parity_has_disjoint_bands(self, cfg):
+        fb = mel_filterbank(cfg)
+        bands = _mel_bands(cfg)
+        assert len(bands) == min(cfg.n_mels, 2)
+        for rows, (weights, starts) in zip((fb[0::2], fb[1::2]), bands):
+            live = rows > 0.0
+            assert live.sum(axis=0).max() == 1  # no bin in two filters of one parity
+            assert np.all(np.diff(starts) > 0)
+            for m, row in enumerate(live):
+                bins = np.flatnonzero(row)
+                end = starts[m + 1] if m + 1 < len(starts) else cfg.n_bins
+                assert bins[0] == starts[m] and bins[-1] < end
+                assert np.array_equal(weights[bins], rows[m, bins])
+            assert not np.any(weights[~live.any(axis=0)])
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+    def test_band_sum_matches_dense_product(self, rng, cfg):
+        power = rng.uniform(0.0, 1.0, (300, cfg.n_bins)) ** 4 * 1e3
+        dense = power @ mel_filterbank(cfg).T
+        band_sum = np.empty_like(dense)
+        for parity, (weights, starts) in enumerate(_mel_bands(cfg)):
+            band_sum[:, parity::2] = np.add.reduceat(power * weights, starts, axis=1)
+        np.testing.assert_allclose(band_sum, dense, rtol=1e-12, atol=0.0)
+
+    def test_single_filter_has_no_odd_set(self):
+        cfg = MelConfig(sample_rate=8000, n_fft=256, hop=64, n_mels=1)
+        x = np.random.default_rng(1).uniform(-0.5, 0.5, 4 * cfg.n_fft)
+        framed = np.lib.stride_tricks.sliding_window_view(x, cfg.n_fft)[:: cfg.hop]
+        power = np.abs(np.fft.rfft(framed * hann(cfg.n_fft), axis=1)) ** 2
+        want = np.log(power @ mel_filterbank(cfg).T + cfg.log_floor).astype(np.float32)
+        got = mel_spectrogram(AudioBuffer(x, cfg.sample_rate), cfg).frames
+        assert len(_mel_bands(cfg)) == 1
+        assert np.array_equal(got, want)
 
 
 class TestMelSpectrogram:
