@@ -77,9 +77,9 @@ class AudioBuffer:
 # ---------------------------------------------------------------------------
 # DSP lanes
 #
-# The resampler and the phase vocoder split their rows (or frequency bins)
-# into one contiguous range per CPU this process may run on; ``rfaudio
-# eval`` hands each lane whole clips to analyse (``cli._metric_report``).
+# The resampler, the phase vocoder and ``spectral.mel_spectrogram`` split
+# their rows, frequency bins or frames into one contiguous range per CPU
+# this process may run on.
 # Every lane runs the same float operations, in the same order, on the part
 # it owns, so the output is the same bit for bit at any lane count. The
 # caller allocates every output and every lane's scratch before dispatch
@@ -92,9 +92,10 @@ class AudioBuffer:
 # Lane work makes no BLAS call: numpy FFTs, ufuncs, ufunc reductions and
 # ``einsum`` only, never ``matmul``, ``@``, ``dot`` or ``linalg``. OpenBLAS's
 # threads spin for a while after each call, and lanes running beside them
-# lose more than they gain. Lane work never calls :func:`_run_lanes`: the
-# pool holds one thread per lane beyond the caller's, so a nested call
-# would wait on a thread that is waiting on it.
+# lose more than they gain. Lane work never calls :func:`_run_lanes`, nor
+# a kernel that does, such as ``spectral.mel_spectrogram``: the pool holds
+# one thread per lane beyond the caller's, so a nested call would wait on a
+# thread that is waiting on it.
 # ---------------------------------------------------------------------------
 
 #: lanes per kernel call: the CPUs in this process's affinity mask
@@ -173,7 +174,7 @@ class _WavHeader(NamedTuple):
         return self.data_size // np.dtype(self.dtype).itemsize // self.n_channels
 
 
-def _iter_chunks(fh, file_size: int):
+def _iter_chunks(fh, file_size: int, path):
     """Yield (chunk_id, payload offset, payload size) of a RIFF body, checking lengths.
 
     Only the 8-byte chunk headers are read; payloads are skipped by seeking.
@@ -181,13 +182,14 @@ def _iter_chunks(fh, file_size: int):
     off = 12
     while off < file_size:
         if off + 8 > file_size:
-            raise TruncatedWavError("chunk header extends past end of file")
+            raise TruncatedWavError(f"{path}: chunk header extends past end of file")
         fh.seek(off)
         cid, size = struct.unpack("<4sI", fh.read(8))
         start = off + 8
         if start + size > file_size:
             raise TruncatedWavError(
-                f"chunk {cid!r} declares {size} bytes but only {file_size - start} remain"
+                f"{path}: chunk {cid!r} declares {size} bytes but only {file_size - start} "
+                "remain"
             )
         yield cid, start, size
         off = start + size + (size & 1)  # chunks are word-aligned
@@ -202,7 +204,7 @@ def _read_wav_header(fh, path) -> _WavHeader:
 
     fmt = None
     data = None
-    for cid, start, size in _iter_chunks(fh, file_size):
+    for cid, start, size in _iter_chunks(fh, file_size, path):
         if cid == b"fmt " and fmt is None:
             if size < 16:
                 raise TruncatedWavError(f"{path}: fmt chunk too short")

@@ -1,4 +1,5 @@
 import multiprocessing
+import re
 import struct
 import tracemalloc
 
@@ -190,7 +191,7 @@ class TestWavDuration:
             blob += b"\x00"
         p.write_bytes(bytes(blob))
         for reader in (read_wav, wav_duration_s):
-            with pytest.raises(error):
+            with pytest.raises(error, match=re.escape(str(p))):
                 reader(p)
 
     def test_missing_file(self, tmp_path):

@@ -93,3 +93,21 @@ def test_train_and_sample_hooks_read_the_model():
     assert samples["nfe_per_call"] == [2 * steps]
     names = [span[0] for span in tracer.spans]
     assert names.count("flow.train_step") == steps
+
+
+def test_eval_times_one_mel_analysis_per_clip(tmp_path, capsys):
+    """Eval analyses each clip through the traced ``mel_spectrogram``, so
+    ``spectral.mel_ms`` times every clip rather than reading zero."""
+    root = tmp_path / "corpus"
+    assert main(["forge", "--root", str(root),
+                 "--forge.items_per_task", "1", "--forge.duration_s", "2"]) == EXIT_OK
+    clips = 2 * sum(c["kept"] for c in json.loads(capsys.readouterr().out)["counts"].values())
+    tracing = _load_tracing()
+    tracer = tracing.Tracer("eval")
+    with tracing.instrument(tracer):
+        rc = main(["eval", "--manifest", str(root)])
+    capsys.readouterr()
+    assert rc == EXIT_OK
+    names = [span[0] for span in tracer.spans]
+    assert clips >= 4
+    assert names.count("spectral.mel") == names.count("audio.read_wav") == clips

@@ -820,8 +820,9 @@ class TestEvalCommand:
     @pytest.mark.parametrize("mode", ["manifest", "folders"])
     def test_report_independent_of_lane_count(self, workspace, eval_folders, monkeypatch,
                                               capsys, mode):
-        """Running the pairs one per lane changes no byte of the report, with more
-        lanes than this host may have cores and lane threads switching often."""
+        """Splitting each clip's mel frames over the lanes changes no byte of the
+        report, with more lanes than this host may have cores and lane threads
+        switching often."""
         argv = {"manifest": ["--manifest", str(workspace["data"])],
                 "folders": ["--dir-a", str(eval_folders[0]), "--dir-b", str(eval_folders[1])]}
         outs = []
@@ -840,8 +841,9 @@ class TestEvalCommand:
     def test_first_failing_pair_is_reported_at_any_lane_count(self, workspace, tmp_path,
                                                               monkeypatch, capsys, fault):
         """The second pair fails (a truncated target, or a target shorter than its
-        source) and so does the third (truncated). At 3 lanes the failures meet in
-        one group; the second pair's error is the one reported, as at 1 lane."""
+        source) and so does the third (truncated). Pairs are analysed in order at
+        any lane count, so the second pair's error is the one reported at 1 and at
+        3 lanes."""
         corpus = tmp_path / "corpus"
         shutil.copytree(workspace["data"], corpus)
         items = json.loads((corpus / "manifest.json").read_text())["items"]

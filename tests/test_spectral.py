@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rfaudio import audio
 from rfaudio.audio import AudioBuffer
 from rfaudio.spectral import (
     MEL_BLOCK_FRAMES,
@@ -268,16 +269,19 @@ class TestMelSpectrogram:
     @pytest.mark.parametrize("frames", [
         1, MEL_BLOCK_FRAMES - 1, MEL_BLOCK_FRAMES, MEL_BLOCK_FRAMES + 1, 1719,
     ])
-    def test_blocked_matches_whole_array_formula(self, rng, cfg, frames):
-        """Analysing in blocks gives the whole-array formula's frames, bit for bit."""
+    def test_blocked_matches_whole_array_formula(self, rng, monkeypatch, cfg, frames):
+        """Analysing in blocks, with the frames split over 1 and over 3 lanes,
+        gives the whole-array formula's frames, bit for bit."""
         x = rng.uniform(-0.5, 0.5, cfg.n_fft + (frames - 1) * cfg.hop + cfg.hop - 1)
         framed = np.lib.stride_tricks.sliding_window_view(x, cfg.n_fft)[:: cfg.hop][:frames]
         window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
         power = np.abs(np.fft.rfft(framed * window, axis=1)) ** 2
         want = np.log(power @ mel_filterbank(cfg).T + cfg.log_floor).astype(np.float32)
-        got = mel_spectrogram(AudioBuffer(x, cfg.sample_rate), cfg).frames
-        assert got.shape == (frames, cfg.n_mels)
-        assert np.array_equal(got, want)
+        for lanes in (1, 3):
+            monkeypatch.setattr(audio, "_LANES", lanes)
+            got = mel_spectrogram(AudioBuffer(x, cfg.sample_rate), cfg).frames
+            assert got.shape == (frames, cfg.n_mels)
+            assert np.array_equal(got, want), lanes
 
     def test_memory_flat_in_clip_length(self, rng):
         """Six times the clip, about the same peak beyond the output itself."""
