@@ -55,16 +55,29 @@ class AudioBuffer:
     samples: np.ndarray
     sample_rate: int
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, scan: bool = True) -> None:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"AudioBuffer requires 1-D samples, got shape {arr.shape}")
         if not (isinstance(self.sample_rate, (int, np.integer)) and self.sample_rate > 0):
             raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if scan and arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("AudioBuffer samples must be finite")
         self.samples = arr
         self.sample_rate = int(self.sample_rate)
+
+    @classmethod
+    def _finite(cls, samples: np.ndarray, sample_rate: int) -> AudioBuffer:
+        """A buffer over ``samples`` known to be finite, which skips the ``np.isfinite`` scan.
+
+        For samples the caller has checked itself, or a slice or copy of a
+        checked buffer's. Sums of checked buffers are not among them: a sum
+        of finite values can overflow.
+        """
+        buf = object.__new__(cls)
+        buf.samples, buf.sample_rate = samples, sample_rate
+        buf.__post_init__(scan=False)
+        return buf
 
     def __len__(self) -> int:
         return self.samples.size
@@ -85,7 +98,10 @@ class AudioBuffer:
 # caller allocates every output and every lane's scratch before dispatch
 # and lanes write with ``out=``, so lane threads allocate nothing large:
 # memory a lane thread frees would stay in that thread's malloc arena,
-# where the calling thread's later work cannot reuse it. Lanes call no
+# where the calling thread's later work cannot reuse it. The allocator
+# thresholds that ``rfaudio/__init__.py`` pins govern the main arena, which
+# the calling thread allocates from: they keep its freed scratch for the
+# next call, but lend it nothing from a lane's arena. Lanes call no
 # module global that the benchmark's tracer rebinds, so every traced span
 # opens on the calling thread.
 #
@@ -268,7 +284,7 @@ def read_wav(path, session_rate: int | None = None) -> AudioBuffer:
     if samples.size and not np.all(np.isfinite(samples)):
         raise WavError(f"{path}: non-finite samples in float data")
 
-    buf = AudioBuffer(samples, header.rate)
+    buf = AudioBuffer._finite(samples, header.rate)
     if session_rate is not None and session_rate != buf.sample_rate:
         buf = resample(buf, session_rate)
     return buf
@@ -393,7 +409,7 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == buffer.sample_rate or len(buffer) == 0:
-        return AudioBuffer(buffer.samples.copy(), target_rate)
+        return AudioBuffer._finite(buffer.samples.copy(), target_rate)
     out_len = int(round(len(buffer) * target_rate / buffer.sample_rate))
     out_len = max(out_len, 1)
     return AudioBuffer(resample_to_length(buffer.samples, out_len), target_rate)

@@ -383,7 +383,7 @@ def compose_soundscape(scene: SceneSpec, library) -> SoundscapeResult:
             f"background {scene.background_id!r} is shorter than the scene: "
             f"{len(background)} < {n} samples"
         )
-    background = AudioBuffer(background.samples[:n], rate)
+    background = AudioBuffer._finite(background.samples[:n], rate)
 
     stems: list[AudioBuffer] = []
     for ev in scene.events:
@@ -522,7 +522,9 @@ def trimmed_stem(stem: AudioBuffer) -> AudioBuffer | None:
     nonzero = np.flatnonzero(stem.samples)
     if nonzero.size == 0:
         return None
-    return AudioBuffer(stem.samples[nonzero[0] : nonzero[-1] + 1].copy(), stem.sample_rate)
+    return AudioBuffer._finite(
+        stem.samples[nonzero[0] : nonzero[-1] + 1].copy(), stem.sample_rate
+    )
 
 
 def filter_pipeline(

@@ -8,7 +8,6 @@ float64.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +27,7 @@ from .audio import (
 #: analysis frames per block in :func:`griffin_lim`, and in all the lanes of
 #: :func:`mel_spectrogram` together; every frame is computed by the same
 #: arithmetic whatever the block, so the size changes no result, only the
-#: scratch the call holds
+#: scratch the call allocates
 MEL_BLOCK_FRAMES = 128
 
 
@@ -179,18 +178,27 @@ def mel_spectrogram(buffer: AudioBuffer, cfg: MelConfig) -> MelSpectrogram:
 
     The DSP lanes of :mod:`rfaudio.audio` split the frames, one contiguous
     range per lane, and each lane analyses its range in blocks through
-    scratch that the calling thread holds (see :func:`_lane_scratch`). The
-    lanes' blocks add up to ``MEL_BLOCK_FRAMES`` frames, so beyond the
-    output a call needs a few ``[MEL_BLOCK_FRAMES, n_fft]`` arrays whatever
-    the clip length or the lane count. Every frame takes the same arithmetic
-    whatever its block or lane. The filterbank product is a band sum that
-    makes no BLAS call; its float32 frames equalled the dense product's on
-    every input tested (see :func:`_mel_frames`).
+    scratch that the calling thread allocates per call, so lane threads
+    allocate none. The lanes' blocks add up to ``MEL_BLOCK_FRAMES`` frames
+    (``MEL_BLOCK_FRAMES / lanes`` each, rounded up), so beyond the output a
+    call needs a few ``[MEL_BLOCK_FRAMES, n_fft]`` arrays whatever the clip
+    length or the lane count; under the allocator thresholds that
+    :mod:`rfaudio` pins at import they are reused heap, not fresh pages.
+    Every frame takes the same arithmetic whatever its block or lane. The
+    filterbank product is a band sum that makes no BLAS call; its float32
+    frames equalled the dense product's on every input tested (see
+    :func:`_mel_frames`).
     """
     _check_buffer(buffer, cfg)
     frames = np.empty((cfg.frame_count(len(buffer)), cfg.n_mels), dtype=np.float32)
     cuts = _lane_cuts(len(frames))
-    scratch = _lane_scratch(cfg, len(cuts) - 1)
+    rows = -(-MEL_BLOCK_FRAMES // (len(cuts) - 1))
+    scratch = [
+        (np.empty((rows, cfg.n_fft)), np.empty((rows, cfg.n_bins), dtype=np.complex128),
+         np.empty((rows, cfg.n_bins)), np.empty((rows, cfg.n_bins)),
+         np.empty((rows, cfg.n_mels)))
+        for _ in cuts[1:]
+    ]
 
     def lane(k, lo, hi):
         samples = buffer.samples[lo * cfg.hop : (hi - 1) * cfg.hop + cfg.n_fft]
@@ -198,33 +206,6 @@ def mel_spectrogram(buffer: AudioBuffer, cfg: MelConfig) -> MelSpectrogram:
 
     _run_lanes(lane, cuts)
     return MelSpectrogram(cfg, frames)
-
-
-#: per thread: the (config, lane count) of its last mel analysis and the scratch for it
-_held = threading.local()
-
-
-def _lane_scratch(cfg: MelConfig, lanes: int) -> list[tuple[np.ndarray, ...]]:
-    """Scratch of :func:`_mel_frames` for ``lanes`` lanes, held by the calling thread.
-
-    Each lane's blocks hold ``MEL_BLOCK_FRAMES / lanes`` frames, rounded
-    up. The calling thread allocates the scratch and keeps it until it
-    analyses at another config or lane count, so no two threads share
-    scratch and lane threads allocate none. Freeing a few MB of scratch
-    after every clip let glibc trim the heap and fault it back in on the
-    next clip: on a 2-vCPU x86-64 Linux host, an eval of 60 ten-second clips
-    took about 130k minor faults in some processes, against about 1k with
-    the scratch held.
-    """
-    if getattr(_held, "key", None) != (cfg, lanes):
-        rows = -(-MEL_BLOCK_FRAMES // lanes)
-        _held.key, _held.scratch = (cfg, lanes), [
-            (np.empty((rows, cfg.n_fft)), np.empty((rows, cfg.n_bins), dtype=np.complex128),
-             np.empty((rows, cfg.n_bins)), np.empty((rows, cfg.n_bins)),
-             np.empty((rows, cfg.n_mels)))
-            for _ in range(lanes)
-        ]
-    return _held.scratch
 
 
 def _mel_frames(samples: np.ndarray, cfg: MelConfig, out: np.ndarray, scratch) -> None:
