@@ -92,7 +92,9 @@ class AudioBuffer:
 #
 # The resampler, the phase vocoder and ``spectral.mel_spectrogram`` split
 # their rows, frequency bins or frames into one contiguous range per CPU
-# this process may run on.
+# this process may run on. The vocoder makes four lane passes, each over
+# frames but its running phase sum, which goes over bins; its overlap-add,
+# like ``spectral.stft`` and ``spectral.istft``, runs on the calling thread.
 # Every lane runs the same float operations, in the same order, on the part
 # it owns, so the output is the same bit for bit at any lane count. The
 # caller allocates every output and every lane's scratch before dispatch
@@ -510,21 +512,6 @@ def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _frame_stft(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
-    """``rfft`` of each windowed frame, ``[n_frames, n_fft // 2 + 1]``; lanes split the frames."""
-    n_frames = 1 + (x.size - n_fft) // hop
-    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[:: hop][:n_frames]
-    windowed = np.empty((n_frames, n_fft))
-    spec = np.empty((n_frames, n_fft // 2 + 1), dtype=np.complex128)
-
-    def lane(k, lo, hi):
-        np.multiply(frames[lo:hi], window, out=windowed[lo:hi])
-        np.fft.rfft(windowed[lo:hi], axis=1, out=spec[lo:hi])
-
-    _run_lanes(lane, _lane_cuts(n_frames))
-    return spec
-
-
 def _add_frames(acc: np.ndarray, frames: np.ndarray, hop: int) -> None:
     """``acc[j*hop : j*hop + n_fft] += frames[j]`` for every frame ``j``.
 
@@ -556,26 +543,6 @@ def _window_norm(window: np.ndarray, t: int, hop: int) -> np.ndarray:
     return norm
 
 
-def _overlap_add(frames_c: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
-    """Least-squares inverse STFT: overlap-add then divide by sum(window^2).
-
-    Lanes split the frames for the inverse FFTs and the window; the frames
-    are then added on the calling thread, in frame order.
-    """
-    t = frames_c.shape[0]
-    frames = np.empty((t, n_fft))
-
-    def lane(k, lo, hi):
-        np.fft.irfft(frames_c[lo:hi], n=n_fft, axis=1, out=frames[lo:hi])
-        frames[lo:hi] *= window
-
-    _run_lanes(lane, _lane_cuts(t))
-    acc = np.zeros(n_fft + (t - 1) * hop)
-    _add_frames(acc, frames, hop)
-    acc /= _window_norm(window, t, hop)
-    return acc
-
-
 def time_stretch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     """Stretch duration by ``factor`` (>1 = longer) at constant pitch.
 
@@ -586,9 +553,12 @@ def time_stretch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     holds with zero error. factor = 1.0 reproduces the input through the
     identity analysis path.
 
-    Lanes split the frames for every elementwise step and the frequency
-    bins for the running phase sum, which runs along the frames of one bin;
-    each value is computed as the whole-array formula computes it.
+    Four lane passes: analysis (window, ``rfft``, magnitude and phase) and
+    interpolation split the input and output frames, the running phase sum
+    splits the frequency bins, since it runs along the frames of one bin,
+    and synthesis (``mag * exp(1j * phase)``, ``irfft``, window) splits the
+    output frames. The frames are then overlap-added on the calling thread.
+    Each value is computed as the whole-array formula computes it.
     """
     if factor <= 0:
         raise ValueError("stretch factor must be positive")
@@ -599,18 +569,23 @@ def time_stretch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     target_len = max(int(round(x.size * factor)), 1)
 
     window = _hann_periodic(n_fft)
+    bins = n_fft // 2 + 1
     t_in = 1 + int(np.ceil((x.size - n_fft) / hop))
     padded = np.pad(x, (0, n_fft + (t_in - 1) * hop - x.size))
-    spec = _frame_stft(padded, n_fft, hop, window)  # [t_in, bins]
-    bins = spec.shape[1]
+    framed = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]  # [t_in, n_fft]
+    windowed = np.empty((t_in, n_fft))
+    spec = np.empty((t_in, bins), dtype=np.complex128)
     mag_in = np.empty((t_in, bins))
     phase_in = np.empty((t_in, bins))
 
     def analyse(k, lo, hi):
+        np.multiply(framed[lo:hi], window, out=windowed[lo:hi])
+        np.fft.rfft(windowed[lo:hi], axis=1, out=spec[lo:hi])
         np.abs(spec[lo:hi], out=mag_in[lo:hi])
         np.arctan2(spec.imag[lo:hi], spec.real[lo:hi], out=phase_in[lo:hi])  # np.angle
 
     _run_lanes(analyse, _lane_cuts(t_in))
+    del windowed, spec  # only the magnitudes and phases are read from here on
 
     t_out = 1 + max(int(np.ceil((target_len - n_fft) / hop)), 0)
     pos = np.minimum(np.arange(t_out) / factor, t_in - 1.0)
@@ -656,6 +631,7 @@ def time_stretch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
 
     _run_lanes(accumulate, _lane_cuts(bins))
     frames_c = np.empty((t_out, bins), dtype=np.complex128)
+    frames = np.empty((t_out, n_fft))
 
     def synthesise(k, lo, hi):
         summed = slice(max(lo, 1), hi)  # row 0 keeps the first frame's phase
@@ -665,10 +641,15 @@ def time_stretch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
         np.multiply(1j, z, out=z)
         np.exp(z, out=z)
         np.multiply(mag[lo:hi], z, out=z)  # mag * exp(1j * phase)
+        np.fft.irfft(z, n=n_fft, axis=1, out=frames[lo:hi])
+        frames[lo:hi] *= window
 
     _run_lanes(synthesise, _lane_cuts(t_out))
 
-    out = _overlap_add(frames_c, n_fft, hop, window)
+    # least-squares overlap-add, in frame order on the calling thread
+    out = np.zeros(n_fft + (t_out - 1) * hop)
+    _add_frames(out, frames, hop)
+    out /= _window_norm(window, t_out, hop)
     if out.size < target_len:
         out = np.pad(out, (0, target_len - out.size))
     return AudioBuffer(out[:target_len], buffer.sample_rate)

@@ -9,6 +9,7 @@ for validation); python-scalar operands never promote.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,18 +38,27 @@ class NonFiniteError(FloatingPointError):
     """A non-finite gradient, or a non-finite value met by :func:`gradcheck`."""
 
 
-_GRAD_ENABLED = [True]
+class _GradMode(threading.local):
+    """Whether ops record the tape, per thread; every thread starts recording."""
+
+    enabled = True
+    depth = 0  # no_grad blocks open on this thread
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Context manager: ops inside do not record the tape."""
+    """Context manager: ops inside do not record the tape, on this thread only."""
 
     def __enter__(self):
-        _GRAD_ENABLED.append(False)
+        _GRAD_MODE.depth += 1
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
-        _GRAD_ENABLED.pop()
+        _GRAD_MODE.depth -= 1
+        _GRAD_MODE.enabled = _GRAD_MODE.depth == 0
         return False
 
 
@@ -140,7 +150,7 @@ def _make(name: str, data: np.ndarray, parents: Sequence[Tensor], backward) -> T
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    record = _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents)
+    record = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
     out.requires_grad = record
     out._parents = tuple(parents) if record else ()
     out._backward = backward if record else None
@@ -425,7 +435,7 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, hea
     kt = np.swapaxes(kd, -1, -2)
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=dtype), batch + (T, L))
-    record = _GRAD_ENABLED[-1] and (q.requires_grad or k.requires_grad or v.requires_grad)
+    record = _GRAD_MODE.enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     # taped: every row's probabilities, kept for the backward; untaped: one block
     probs = np.empty(batch + (T if record else min(T, ATTENTION_BLOCK_ROWS), L), dtype=dtype)
     per_head = np.empty(batch + (T, vd.shape[-1]), dtype=dtype)

@@ -10,6 +10,7 @@ width is zero-initialized so an untrained model predicts zero velocity.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,10 @@ class TimeEmbedding:
         return matmul(h, self.w2, self.b2)
 
 
+#: guards every model's ``forward_count``, so forwards on several threads all count
+_FORWARD_COUNT_LOCK = threading.Lock()
+
+
 class FlowModel:
     """The velocity network plus its conditioning front end.
 
@@ -192,7 +197,8 @@ class FlowModel:
                 f"context width {high_tokens.data.shape[-1]} does not match "
                 f"d_high {cfg.d_high}"
             )
-        self.forward_count += 1
+        with _FORWARD_COUNT_LOCK:
+            self.forward_count += 1
 
         te = reshape(self.time_embed.embed_batch(t_vec), (B, 1, cfg.d_low))
         tokens = concatenate([x_t, add(low, te)], axis=-1)

@@ -4,6 +4,13 @@ Framing is non-centered (no reflection padding): frame t covers samples
 [t*hop, t*hop + n_fft), so T = 1 + floor((len - n_fft) / hop). Mel frames
 are stored float32 (the model's operating dtype); analysis math runs in
 float64.
+
+Only :func:`mel_spectrogram` splits its frames over the DSP lanes of
+:mod:`rfaudio.audio`. :func:`stft` and :func:`istft` are the plain
+whole-array formulas on the calling thread, and :func:`griffin_lim` runs
+there too, in frame blocks. :func:`istft` and :func:`griffin_lim` use the
+frame-ordered overlap-add and window normaliser that the phase vocoder in
+:mod:`rfaudio.audio` uses.
 """
 
 from __future__ import annotations
@@ -13,16 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import (
-    AudioBuffer,
-    _add_frames,
-    _frame_stft,
-    _hann_periodic,
-    _lane_cuts,
-    _overlap_add,
-    _run_lanes,
-    _window_norm,
-)
+from .audio import AudioBuffer, _add_frames, _hann_periodic, _lane_cuts, _run_lanes, _window_norm
 
 #: analysis frames per block in :func:`griffin_lim`, and in all the lanes of
 #: :func:`mel_spectrogram` together; every frame is computed by the same
@@ -120,14 +118,25 @@ def _check_buffer(buffer: AudioBuffer, cfg: MelConfig) -> None:
 def stft(buffer: AudioBuffer, cfg: MelConfig) -> np.ndarray:
     """Hann-windowed, non-centered STFT: ``[T, n_bins]`` complex128, as :func:`istft` takes."""
     _check_buffer(buffer, cfg)
-    window = _hann_periodic(cfg.n_fft)
-    return _frame_stft(buffer.samples, cfg.n_fft, cfg.hop, window)
+    framed = np.lib.stride_tricks.sliding_window_view(buffer.samples, cfg.n_fft)[:: cfg.hop]
+    return np.fft.rfft(framed * _hann_periodic(cfg.n_fft), axis=1)
 
 
 def istft(frames: np.ndarray, cfg: MelConfig) -> AudioBuffer:
-    """Least-squares inverse STFT (overlap-add over sum of squared windows)."""
+    """Least-squares inverse STFT (overlap-add over sum of squared windows).
+
+    ``frames`` must be ``[T >= 1, n_bins]``: ``irfft`` would silently pad or
+    cut any other bin count to ``n_fft``, so such frames are refused.
+    """
+    spec = np.asarray(frames, dtype=np.complex128)
+    if spec.ndim != 2 or spec.shape[0] < 1 or spec.shape[1] != cfg.n_bins:
+        raise ValueError(f"istft needs [T >= 1, {cfg.n_bins}] frames, got shape {spec.shape}")
     window = _hann_periodic(cfg.n_fft)
-    out = _overlap_add(np.asarray(frames, dtype=np.complex128), cfg.n_fft, cfg.hop, window)
+    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1)
+    frames *= window
+    out = np.zeros(cfg.n_fft + (len(frames) - 1) * cfg.hop)
+    _add_frames(out, frames, cfg.hop)
+    out /= _window_norm(window, len(frames), cfg.hop)
     return AudioBuffer(out, cfg.sample_rate)
 
 

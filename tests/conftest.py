@@ -18,7 +18,7 @@ def rng():
 
 @pytest.fixture
 def loop_overlap_add():
-    """The frame-by-frame overlap-add loop: the reference for ``audio._overlap_add``."""
+    """The frame-by-frame overlap-add loop: the reference for every chunked overlap-add."""
 
     def overlap_add(frames_c, n_fft, hop, window):
         t = frames_c.shape[0]

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,40 @@ class TestForward:
         with no_grad():
             y = x * 2.0
         assert y._backward is None and not y.requires_grad
+
+
+    def test_no_grad_nests(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
+
+    def test_no_grad_is_per_thread(self, rng):
+        """A ``no_grad`` block held on one thread leaves another thread's tape recording."""
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with no_grad():
+                entered.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert entered.wait(30)
+            x = Tensor(rng.standard_normal(3), requires_grad=True)
+            y = tsum(x * x)
+            q = t64(rng, 1, 4, 2)
+            attended = scaled_dot_product_attention(q, q, q)
+        finally:
+            release.set()
+            holder.join(30)
+        assert not holder.is_alive()
+        assert y.requires_grad and attended.requires_grad
+        y.backward()
+        assert np.array_equal(x.grad, 2.0 * x.data)
 
 
 class TestGradcheckOps:

@@ -1,6 +1,7 @@
 """Tests for the edit-triplet forge: specs, composition, filtering, manifests."""
 
 import gc
+import hashlib
 import json
 import tracemalloc
 import weakref
@@ -673,6 +674,31 @@ class TestForgeCorpus:
         assert len(corpora[0]) == 1 + 2 * sum(
             1 for _ in load_manifest(tmp_path / "lanes1" / "manifest.json")["items"])
         assert corpora[0] == corpora[1]
+
+    def test_cli_forge_bytes_pinned(self, tmp_path, capsys):
+        """Every byte of a tiny 8 kHz corpus forged by the command, pinned by sha256.
+
+        The corpus runs the vocoder, the resampler, mixing and the WAV writer,
+        so a drift in any of them changes the digest.
+        """
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "session_rate": 8000,
+            "mel": {"sample_rate": 8000, "n_fft": 256, "hop": 64, "n_mels": 12},
+            "forge": {"items_per_task": 2, "duration_s": 1.0},
+            "seed": 5,
+        }))
+        root = tmp_path / "corpus"
+        assert main(["forge", "--config", str(cfg), "--root", str(root)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256()
+        files = sorted(p for p in root.rglob("*") if p.is_file())
+        for path in files:
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(path.read_bytes())
+        assert len(files) == 11
+        assert digest.hexdigest() == (
+            "69373d690c4634d04f36a9f8fb254720099e3ad858ab92bead0e25a51ec1eec8")
 
     def test_seed_changes_output(self, tmp_path):
         forge_corpus(LIB, tmp_path / "a", TINY)

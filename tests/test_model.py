@@ -1,5 +1,9 @@
 """Tests for the velocity network and its conditioning fusion."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -161,6 +165,30 @@ class TestDitForward:
             forward_one(latent(rng, 4, 3), 0.5, bundle, model)
             forward_one(latent(rng, 4, 3), 0.4, bundle, model)
         assert model.forward_count == base + 2
+
+    def test_forward_count_counts_every_thread(self, rng):
+        """Forwards on more threads than cores, switching often: none goes uncounted."""
+        model = FlowModel(TINY, seed=0)
+        bundle = make_bundle(model, rng, 4)
+        x = latent(rng, 4, 3)
+
+        def run():
+            with no_grad():
+                for _ in range(25):
+                    forward_one(x, 0.5, bundle, model)
+
+        threads = [threading.Thread(target=run) for _ in range((os.cpu_count() or 1) + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert model.forward_count == 25 * len(threads)
 
     def test_context_changes_output(self, rng):
         model = FlowModel(TINY, seed=0, toy_vocab=["dog"])

@@ -152,6 +152,14 @@ class TestStft:
         want = loop_overlap_add(spec, n_fft, hop, hann(n_fft))
         assert istft(spec, cfg).samples.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(3, 10), (3, 130), (0, 129), (129,), (1, 3, 129)],
+                             ids=["few_bins", "many_bins", "no_frames", "1d", "3d"])
+    def test_istft_refuses_malformed_frames(self, shape):
+        """Only ``[T >= 1, n_bins]`` frames: ``irfft`` would pad a short bin axis silently."""
+        cfg = MelConfig(sample_rate=8000, n_fft=256, hop=64, n_mels=1)
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]},"):
+            istft(np.ones(shape, dtype=np.complex128), cfg)
+
     def test_istft_reconstructs(self, rng):
         cfg = CFG_SMALL
         x = rng.uniform(-0.5, 0.5, cfg.n_fft + 10 * cfg.hop)
