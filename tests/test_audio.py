@@ -521,6 +521,16 @@ class TestVocoder:
         assert len(out) == len(buf)
         assert abs(dominant_bin(out.samples, 16000) - dominant_bin(buf.samples, 16000)) <= 1
 
+    @pytest.mark.parametrize("hop", [256, 300])
+    @pytest.mark.parametrize("factor", [0.8, 1.0, 1.25])
+    def test_stretch_matches_loop_overlap_add(self, monkeypatch, loop_overlap_add, hop, factor):
+        """Chunked overlap-add, also at a hop that does not divide the FFT size."""
+        buf = sine(440, 0.5, 16000)
+        monkeypatch.setattr(audio, "VOCODER_HOP", hop)
+        got = time_stretch(buf, factor)
+        want = whole_array_time_stretch(buf.samples, factor, loop_overlap_add)
+        assert got.samples.tobytes() == want.tobytes()
+
     def test_stretch_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             time_stretch(sine(440, 0.5, 8000), 0.0)
